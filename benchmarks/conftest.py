@@ -18,10 +18,11 @@ next to the repository root (CI uploads both):
   cold and then warm through the persistent cache with ``--jobs 2``
   semantics, recording per-artifact wall time, cache hits/misses and the
   warm-over-cold speedup (outputs are asserted bit-identical);
-* ``BENCH_plan.json`` — cold planning of the zoo smoke suite on the scalar
-  parity-oracle path (``REPRO_SCALAR_PLANNER=1``) vs the vectorized grid
-  planner, asserting byte-identical exported plans and recording the
-  speedup (CI fails the job if the vectorized path is not faster).
+* ``BENCH_plan.json`` — cold planning of the zoo smoke suite, checked
+  against the golden plan digests, plus the vectorized tile search timed
+  against the reference loop of ``tests/reference_tiled.py`` over the
+  suite's layers and budgets (CI fails the job if a plan diverges or the
+  vectorized search is not faster).
 """
 
 from __future__ import annotations
@@ -113,71 +114,91 @@ def _experiments_benchmark_record() -> dict:
 
 
 def _plan_benchmark_record() -> dict:
-    """Cold-plan the zoo smoke suite, scalar oracle vs vectorized grid.
+    """Cold-plan the zoo smoke suite and time the tile search.
 
-    Both passes start from a cleared per-layer evaluation memo (the memo is
-    part of the vectorized design and disabled on the scalar path anyway),
-    plan every (model, GLB, objective) combo via ``plan_heterogeneous`` and
-    serialize the plans — asserting byte-identity before reporting speedup.
+    ``vectorized_seconds`` is the suite planned from a cleared evaluation
+    memo; ``bit_identical_plans`` says every plan matches its golden
+    digest.  ``scalar_seconds`` and ``speedup`` compare the reference
+    tile-search loop with ``TiledFallback.plan`` over every layer, budget
+    and prefetch flag of the suite, asserting equal plans.
     """
     import gc
 
-    from repro.analyzer import Objective, plan_heterogeneous, plan_to_dict
+    from repro.analyzer import plan_heterogeneous
     from repro.arch import AcceleratorSpec, kib
     from repro.estimators.evaluate import clear_evaluation_memo
     from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
-    from repro.plancore import ENV_SCALAR_PLANNER
+    from repro.policies.tiled import TiledFallback
+    from tests.reference_tiled import reference_plan
+    from tests.test_plan_golden import (
+        DIGESTS_PATH,
+        HET_GLB_KB,
+        OBJECTIVES,
+        plan_digests,
+    )
 
-    # The full Fig. 5/8 planning grid: zoo × paper GLB ladder × objectives.
+    # The paper zoo × the golden corpus's GLB ladder × objectives.
     combos = [
-        (get_model(name), AcceleratorSpec(glb_bytes=kib(glb_kb)), objective)
+        (get_model(name), glb_kb, objective)
         for name in PAPER_MODEL_NAMES
-        for glb_kb in (64, 128, 256, 512, 1024)
-        for objective in (Objective.ACCESSES, Objective.LATENCY)
+        for glb_kb in HET_GLB_KB
+        for objective in OBJECTIVES
     ]
 
-    def run_suite() -> tuple[float, list[str]]:
-        clear_evaluation_memo()
+    def timed(fn):
         # CPU time, not wall clock: planning is single-threaded CPU-bound
         # work and CI runners are noisy neighbours.  GC is paused during
-        # the timed region (both paths) so heap pressure from earlier
-        # benchmarks cannot skew either side.
+        # the timed region so heap pressure from earlier benchmarks cannot
+        # skew it.
         gc.collect()
         gc.disable()
         try:
             start = time.process_time()
-            plans = [plan_heterogeneous(m, s, o) for m, s, o in combos]
-            seconds = time.process_time() - start
+            result = fn()
+            return time.process_time() - start, result
         finally:
             gc.enable()
-        # Serialization is identical work on both paths; keep it untimed.
-        return seconds, [
-            json.dumps(plan_to_dict(p), sort_keys=True) for p in plans
+
+    def run_suite():
+        clear_evaluation_memo()
+        return [
+            plan_heterogeneous(m, AcceleratorSpec(glb_bytes=kib(k)), o)
+            for m, k, o in combos
         ]
 
-    # Untimed warm-up: the first vectorized plan in a process pays one-time
-    # NumPy internals (ufunc caches etc.) that are not planning work.
-    m0, s0, o0 = combos[0]
-    plan_heterogeneous(m0, s0, o0)
+    # Untimed warm-up: the first plan in a process pays one-time NumPy
+    # internals (ufunc caches etc.) that are not planning work.
+    run_suite()
+    # Best of two cold passes against scheduler noise.
+    vectorized_seconds, plans = timed(run_suite)
+    vectorized_seconds = min(vectorized_seconds, timed(run_suite)[0])
+    golden = json.loads(DIGESTS_PATH.read_text())
+    identical = all(
+        plan_digests(plan) == golden[f"het/{m.name}/{k}KiB/{o.value}"]
+        for plan, (m, k, o) in zip(plans, combos)
+    )
+    assert identical, "the smoke suite diverged from the golden plan digests"
 
-    os.environ[ENV_SCALAR_PLANNER] = "1"
-    try:
-        scalar_seconds, scalar_plans = run_suite()
-    finally:
-        os.environ.pop(ENV_SCALAR_PLANNER, None)
-    # Best of two cold passes: the suite is ~1 s vectorized, so a second
-    # pass is cheap insurance against scheduler noise.
-    vectorized_seconds, vectorized_plans = run_suite()
-    vectorized_seconds = min(vectorized_seconds, run_suite()[0])
-    identical = scalar_plans == vectorized_plans
-    assert identical, "scalar and vectorized planners diverged on the smoke suite"
+    tiled = TiledFallback()
+    searches = [
+        (layer, AcceleratorSpec(glb_bytes=kib(glb_kb)).glb_elems, prefetch)
+        for name in PAPER_MODEL_NAMES
+        for layer in get_model(name).layers
+        for glb_kb in HET_GLB_KB
+        for prefetch in (False, True)
+    ]
+    scalar_seconds, reference = timed(lambda: [reference_plan(*a) for a in searches])
+    search_seconds, vectorized = timed(lambda: [tiled.plan(*a) for a in searches])
+    assert reference == vectorized, "tile search diverged from the reference loop"
     return {
         "combos": len(combos),
-        "glb_sizes_kb": [64, 128, 256, 512, 1024],
-        "objectives": ["accesses", "latency"],
+        "glb_sizes_kb": list(HET_GLB_KB),
+        "objectives": [o.value for o in OBJECTIVES],
+        "tile_searches": len(searches),
         "scalar_seconds": scalar_seconds,
         "vectorized_seconds": vectorized_seconds,
-        "speedup": scalar_seconds / vectorized_seconds if vectorized_seconds else None,
+        "tile_search_seconds": search_seconds,
+        "speedup": scalar_seconds / search_seconds if search_seconds else None,
         "bit_identical_plans": identical,
     }
 

@@ -1,6 +1,6 @@
 """Declared bounds of the supported specification space.
 
-The vectorized planner (PR 8) evaluates the Eq. (1)/(2) capacity and
+The vectorized tile search evaluates the Eq. (1)/(2) capacity and
 traffic closed forms as NumPy ``int64`` arrays, where an overflow raises
 no error — it silently wraps and corrupts plans.  The static value-range
 prover (``R070``–``R074`` in :mod:`repro.analysis.range_rules`) proves

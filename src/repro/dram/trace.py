@@ -167,3 +167,8 @@ def dram_effective_bandwidth(
     return _effective_bandwidth(
         schedule, layer, dram, bytes_per_elem, flat_elems_per_cycle
     )
+
+
+def clear_bandwidth_memo() -> None:
+    """Drop the memoized effective bandwidths (cold-start benches)."""
+    _effective_bandwidth.cache_clear()

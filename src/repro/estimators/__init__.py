@@ -3,11 +3,8 @@
 from .evaluate import (
     PolicyEvaluation,
     estimate_accesses,
-    estimate_accesses_batch,
     estimate_latency,
-    estimate_latency_batch,
     estimate_memory,
-    estimate_memory_batch,
     evaluate_layer,
     evaluate_plans,
 )
@@ -19,7 +16,7 @@ from .bounds import (
     model_bound_interlayer,
     optimality_gap,
 )
-from .latency import LatencyBreakdown, schedule_latency, schedule_latency_batch
+from .latency import LatencyBreakdown, schedule_latency
 
 __all__ = [
     "PolicyEvaluation",
@@ -28,12 +25,8 @@ __all__ = [
     "estimate_memory",
     "estimate_accesses",
     "estimate_latency",
-    "estimate_memory_batch",
-    "estimate_accesses_batch",
-    "estimate_latency_batch",
     "LatencyBreakdown",
     "schedule_latency",
-    "schedule_latency_batch",
     "TrafficBound",
     "OptimalityGap",
     "layer_bound",

@@ -13,20 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-from numpy.typing import NDArray
-
 from ..arch.spec import AcceleratorSpec
+from ..dram.trace import clear_bandwidth_memo
 from ..nn.layer import LayerSpec
-from ..plancore import scalar_planner_enabled
 from ..policies.base import CandidatePlan, Policy
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
-from .latency import (
-    LatencyBreakdown,
-    clear_latency_memo,
-    schedule_latency,
-    schedule_latency_batch,
-)
+from .latency import LatencyBreakdown, schedule_latency
 
 
 @dataclass(frozen=True)
@@ -96,39 +88,6 @@ def estimate_latency(plan: CandidatePlan, spec: AcceleratorSpec) -> LatencyBreak
     return schedule_latency(plan.schedule, spec, plan.prefetch, layer=plan.layer)
 
 
-def estimate_memory_batch(
-    plans: Sequence[CandidatePlan], spec: AcceleratorSpec
-) -> NDArray[np.int64]:
-    """GLB bytes of every plan of a candidate grid, as one int64 array."""
-    return (
-        np.array([p.memory_elems for p in plans], dtype=np.int64)
-        * spec.bytes_per_elem
-    )
-
-
-def estimate_accesses_batch(
-    plans: Sequence[CandidatePlan], spec: AcceleratorSpec
-) -> NDArray[np.int64]:
-    """Off-chip traffic bytes of every plan of a grid, as one int64 array."""
-    return (
-        np.array([p.traffic.total for p in plans], dtype=np.int64)
-        * spec.bytes_per_elem
-    )
-
-
-def estimate_latency_batch(
-    plans: Sequence[CandidatePlan], spec: AcceleratorSpec
-) -> list[LatencyBreakdown]:
-    """Latency of every plan of a grid in one vectorized recurrence pass.
-
-    Flat DRAM model only (see :func:`schedule_latency_batch`); bit-identical
-    to :func:`estimate_latency` per plan.
-    """
-    return schedule_latency_batch(
-        [p.schedule for p in plans], spec, [p.prefetch for p in plans]
-    )
-
-
 def _evaluate_plan(plan: CandidatePlan, spec: AcceleratorSpec) -> PolicyEvaluation:
     b = spec.bytes_per_elem
     return PolicyEvaluation(
@@ -144,39 +103,12 @@ def _evaluate_plan(plan: CandidatePlan, spec: AcceleratorSpec) -> PolicyEvaluati
 def evaluate_plans(
     plans: Sequence[CandidatePlan], spec: AcceleratorSpec
 ) -> list[PolicyEvaluation]:
-    """Evaluate a layer's whole candidate grid in one shot.
+    """Evaluate a layer's candidate grid, one plan at a time.
 
-    The default path computes memory/accesses/read/write bytes as int64
-    arrays and all latencies through one batched recurrence, then coerces
-    back to native Python ``int``/``float`` so no NumPy scalar ever leaks
-    into a :class:`PolicyEvaluation` (and from there into cached plans,
-    cache keys or JSON exports) — a type-pinning test enforces this.
-
-    Falls back to per-plan scalar evaluation under ``REPRO_SCALAR_PLANNER``
-    and whenever ``spec.dram`` is banked (trace-simulated bandwidth is
-    inherently per-candidate); results are bit-identical either way.
+    A grid holds at most 14 candidates, too few for batching them into
+    arrays to beat a per-plan loop.
     """
-    if not plans:
-        return []
-    if scalar_planner_enabled() or spec.dram is not None:
-        return [_evaluate_plan(plan, spec) for plan in plans]
-    b = spec.bytes_per_elem
-    memory = estimate_memory_batch(plans, spec)
-    accesses = estimate_accesses_batch(plans, spec)
-    reads = np.array([p.traffic.reads for p in plans], dtype=np.int64) * b
-    writes = np.array([p.traffic.writes for p in plans], dtype=np.int64) * b
-    latencies = estimate_latency_batch(plans, spec)
-    return [
-        PolicyEvaluation(
-            plan=plan,
-            memory_bytes=int(memory[i]),
-            accesses_bytes=int(accesses[i]),
-            read_bytes=int(reads[i]),
-            write_bytes=int(writes[i]),
-            latency=latencies[i],
-        )
-        for i, plan in enumerate(plans)
-    ]
+    return [_evaluate_plan(plan, spec) for plan in plans]
 
 
 def evaluate_layer(
@@ -200,24 +132,13 @@ def evaluate_layer(
     trail; passing it changes no result.
 
     The result is a pure function of the arguments (everything involved is
-    a frozen dataclass), so the vectorized path memoizes it — CNNs repeat
-    layer shapes heavily, both within a model and across a zoo.  The
-    scalar parity oracle bypasses the memo entirely.
+    a frozen dataclass), so it is memoized — CNNs repeat layer shapes
+    heavily, both within a model and across a zoo.
 
     Returns an empty list only when even the tile-search fallback cannot
     fit, which for sane GLB sizes does not happen (the fallback's smallest
     footprint is a couple of rows).
     """
-    if scalar_planner_enabled():
-        return _evaluate_layer_uncached(
-            layer,
-            spec,
-            policies,
-            use_fallback,
-            allow_prefetch,
-            always_fallback,
-            attempts,
-        )
     evaluations, tries = _evaluate_layer_memo(
         layer, spec, policies, use_fallback, allow_prefetch, always_fallback
     )
@@ -244,9 +165,13 @@ def _evaluate_layer_memo(
 
 
 def clear_evaluation_memo() -> None:
-    """Drop the in-process per-layer evaluation memo (cold-start benches)."""
+    """Drop the in-process evaluation memos (cold-start benches).
+
+    Clears the per-layer evaluation grid and the DRAM effective-bandwidth
+    memo, which would otherwise answer a DRAM-backed re-plan from memory.
+    """
     _evaluate_layer_memo.cache_clear()
-    clear_latency_memo()
+    clear_bandwidth_memo()
 
 
 def _evaluate_layer_uncached(

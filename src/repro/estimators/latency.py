@@ -25,10 +25,6 @@ agree to floating-point tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-from numpy.typing import NDArray
 
 from ..arch.spec import AcceleratorSpec
 from ..dram.trace import dram_effective_bandwidth
@@ -139,174 +135,14 @@ def schedule_latency(
     compute = schedule.total_macs / rate
     dma = (schedule.total_load + schedule.total_store) / bw
 
-    total = _scalar_total(schedule, bw, rate, prefetch)
+    load_t = schedule.resident_load / bw
+    state: _State = (load_t, load_t, 0.0)
+    for group in schedule.groups:
+        state = _advance_group(state, group, bw, rate, prefetch)
+    total = max(state)
     if prefetch:
         # Port-work conservation: deferred write-backs still use bandwidth.
         total = max(total, dma)
     return LatencyBreakdown(
         total_cycles=total, compute_cycles=compute, dma_cycles=dma
     )
-
-
-def _scalar_total(
-    schedule: LayerSchedule, bw: float, rate: float, prefetch: bool
-) -> float:
-    """Final ``max(state)`` of one schedule's recurrence (scalar loop)."""
-    load_t = schedule.resident_load / bw
-    state: _State = (load_t, load_t, 0.0)
-    for group in schedule.groups:
-        state = _advance_group(state, group, bw, rate, prefetch)
-    return max(state)
-
-
-#: Schedules longer than this stay on the per-group scalar recurrence even
-#: inside the batch API: the group axis is sequential (max-plus chain), so
-#: a single long-tail schedule would otherwise stretch the whole batch's
-#: padded group axis.  Either route is bit-identical; this is speed only.
-_BATCH_GROUP_LIMIT = 16
-
-
-def _batch_totals(
-    schedules: Sequence[LayerSchedule], bw: float, rate: float, prefetch: bool
-) -> NDArray[np.float64]:
-    """Final ``max(state)`` of every schedule's recurrence, vectorized.
-
-    One group slot per recurrence step, advanced for all schedules at once;
-    shorter schedules are padded with all-zero groups, which are exact
-    no-ops for the final maximum:
-
-    * serial — a zero group sets the state to ``(m, m, m)`` with
-      ``m = max(state)``, preserving the maximum;
-    * prefetch — a zero group leaves the load chain (``n·l = 0``) and the
-      store chain (``store == 0`` keeps ``store_t``) untouched and can only
-      lift ``pe_t`` to ``load_t``, which the maximum already contains.
-
-    Every arithmetic expression mirrors :func:`_advance_group` operand for
-    operand, so float64 results are bit-identical to the scalar path.
-    """
-    count_rows = len(schedules)
-    max_groups = max((len(s.groups) for s in schedules), default=0)
-    n = np.zeros((count_rows, max_groups), dtype=np.int64)
-    load_e = np.zeros((count_rows, max_groups), dtype=np.int64)
-    macs_e = np.zeros((count_rows, max_groups), dtype=np.int64)
-    store_e = np.zeros((count_rows, max_groups), dtype=np.int64)
-    for row, schedule in enumerate(schedules):
-        for col, group in enumerate(schedule.groups):
-            n[row, col] = group.count
-            load_e[row, col] = group.load
-            macs_e[row, col] = group.macs
-            store_e[row, col] = group.store
-
-    load_t = np.array([s.resident_load for s in schedules], dtype=np.float64) / bw
-    pe_t = load_t.copy()
-    store_t = np.zeros(count_rows, dtype=np.float64)
-    for col in range(max_groups):
-        load = load_e[:, col] / bw
-        compute = macs_e[:, col] / rate
-        store = store_e[:, col] / bw
-        steps = n[:, col]
-        if not prefetch:
-            start = np.maximum(np.maximum(load_t, pe_t), store_t)
-            end = start + steps * (load + compute + store)
-            load_t = end - compute - store
-            pe_t = end - store
-            store_t = end
-        else:
-            l_n = load_t + steps * load
-            p_n = np.maximum(
-                np.maximum(
-                    pe_t + steps * compute,
-                    load_t + steps * load + compute,
-                ),
-                load_t + load + steps * compute,
-            )
-            s_n = np.maximum.reduce(
-                [
-                    store_t + steps * store,
-                    pe_t + compute + steps * store,
-                    pe_t + steps * compute + store,
-                    load_t + load + compute + steps * store,
-                    load_t + steps * load + compute + store,
-                    load_t + load + steps * compute + store,
-                ]
-            )
-            store_t = np.where(store_e[:, col] == 0, store_t, s_n)
-            load_t = l_n
-            pe_t = p_n
-    return np.maximum(np.maximum(load_t, pe_t), store_t)
-
-
-#: Memo of final recurrence totals, keyed by the exact inputs that decide
-#: them.  Fixed-tile policies emit *identical* schedules across a GLB
-#: ladder, so sweeps re-request the same totals at every size; the batch
-#: API (vectorized path only — the scalar oracle never reaches it) reuses
-#: them.  Bounded by wholesale reset; cleared with the evaluation memo.
-_TOTALS_MEMO: dict[tuple[LayerSchedule, float, float, bool], float] = {}
-_TOTALS_MEMO_MAX = 65536
-
-
-def clear_latency_memo() -> None:
-    """Drop the memoized recurrence totals (cold-start benches)."""
-    _TOTALS_MEMO.clear()
-
-
-def schedule_latency_batch(
-    schedules: Sequence[LayerSchedule],
-    spec: AcceleratorSpec,
-    prefetch_flags: Sequence[bool],
-) -> list[LatencyBreakdown]:
-    """Batch :func:`schedule_latency` over a layer's whole candidate grid.
-
-    Evaluates every schedule's max-plus recurrence as NumPy arrays across
-    candidates (the prefetch and serial recurrences differ, so candidates
-    split into two sub-batches by flag) and is **bit-identical** to calling
-    :func:`schedule_latency` per candidate — the parity suite asserts it.
-
-    Only valid for the flat DRAM model: a banked ``spec.dram`` makes each
-    candidate's bandwidth depend on its own simulated address trace, which
-    stays on the scalar path.
-    """
-    if spec.dram is not None:
-        raise ValueError(
-            "schedule_latency_batch requires the flat DRAM model; "
-            "trace-simulated bandwidth is per-candidate (use schedule_latency)"
-        )
-    bw = spec.dram_bandwidth_elems_per_cycle
-    rate = spec.macs_per_cycle
-    if len(_TOTALS_MEMO) > _TOTALS_MEMO_MAX:
-        _TOTALS_MEMO.clear()
-    totals_by_index: dict[int, float] = {}
-    for flag in (False, True):
-        rows = []
-        for i, p in enumerate(prefetch_flags):
-            if bool(p) is not flag:
-                continue
-            cached = _TOTALS_MEMO.get((schedules[i], bw, rate, flag))
-            if cached is None:
-                rows.append(i)
-            else:
-                totals_by_index[i] = cached
-        short = [i for i in rows if len(schedules[i].groups) <= _BATCH_GROUP_LIMIT]
-        if short:
-            totals = _batch_totals([schedules[i] for i in short], bw, rate, flag)
-            for j, i in enumerate(short):
-                totals_by_index[i] = float(totals[j])
-        for i in rows:
-            if i not in totals_by_index:
-                totals_by_index[i] = _scalar_total(schedules[i], bw, rate, flag)
-        for i in rows:
-            _TOTALS_MEMO[(schedules[i], bw, rate, flag)] = totals_by_index[i]  # repro: noqa[R060] -- benign race: idempotent memo put of a deterministic value; dict item assignment is atomic under the GIL
-    results: list[LatencyBreakdown] = []
-    for i, schedule in enumerate(schedules):
-        compute = schedule.total_macs / rate
-        dma = (schedule.total_load + schedule.total_store) / bw
-        total = totals_by_index[i]
-        if prefetch_flags[i]:
-            # Port-work conservation, exactly as the scalar path.
-            total = max(total, dma)
-        results.append(
-            LatencyBreakdown(
-                total_cycles=total, compute_cycles=compute, dma_cycles=dma
-            )
-        )
-    return results

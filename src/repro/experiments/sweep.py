@@ -87,29 +87,19 @@ def bandwidth_sweep(
 ) -> list[SweepPoint]:
     """Sweep the off-chip bandwidth (latency objective by default).
 
-    Bandwidth is *not* a GLB move, so the delta planner invalidates every
-    layer at every point — this sweep exercises (and the sweep-parity test
-    asserts) the full-invalidation side of the delta invariant.
+    Each point is planned from scratch: bandwidth feeds every layer's
+    latency estimate, so no evaluation carries over between points.
     """
     spec = base_spec or AcceleratorSpec()
-    if not set(plan_kwargs) <= _DELTA_KWARGS:
-        return [
-            _point(
-                bandwidth,
-                plan_heterogeneous(
-                    model,
-                    replace(spec, dram_bandwidth_elems_per_cycle=bandwidth),
-                    objective,
-                    **plan_kwargs,
-                ),
-            )
-            for bandwidth in bandwidths_elems_per_cycle
-        ]
-    planner = SweepPlanner(model, objective, **plan_kwargs)
     return [
         _point(
             bandwidth,
-            planner.plan(replace(spec, dram_bandwidth_elems_per_cycle=bandwidth)),
+            plan_heterogeneous(
+                model,
+                replace(spec, dram_bandwidth_elems_per_cycle=bandwidth),
+                objective,
+                **plan_kwargs,
+            ),
         )
         for bandwidth in bandwidths_elems_per_cycle
     ]

@@ -31,7 +31,6 @@ from repro.experiments.common import het_plan_ladder, spec_for
 from repro.experiments.sweep import bandwidth_sweep, glb_sweep
 from repro.nn.zoo import get_model
 from repro.obs import metrics_registry
-from repro.plancore import ENV_SCALAR_PLANNER
 
 LADDER_KB = (64, 128, 256, 512, 1024)
 
@@ -101,22 +100,6 @@ def test_non_glb_spec_move_invalidates_every_layer():
     assert _json(back) == _json(plan_heterogeneous(model, spec, Objective.LATENCY))
 
 
-def test_scalar_mode_disables_reuse_but_not_parity():
-    model = get_model("AlexNet")
-    planner = SweepPlanner(model, Objective.ACCESSES)
-    os.environ[ENV_SCALAR_PLANNER] = "1"
-    try:
-        reused0 = _counter("planner_layers_reused_count")
-        for glb_kb in (128, 256):
-            spec = AcceleratorSpec(glb_bytes=kib(glb_kb))
-            assert _json(planner.plan(spec)) == _json(
-                plan_heterogeneous(model, spec, Objective.ACCESSES)
-            )
-        assert _counter("planner_layers_reused_count") == reused0
-    finally:
-        os.environ.pop(ENV_SCALAR_PLANNER, None)
-
-
 def test_glb_sweep_delta_path_matches_per_point_path():
     model = get_model("MnasNet")
     sizes = [kib(k) for k in LADDER_KB]
@@ -127,12 +110,16 @@ def test_glb_sweep_delta_path_matches_per_point_path():
     assert delta_points == full_points
 
 
-def test_bandwidth_sweep_delta_path_matches_per_point_path():
+def test_bandwidth_sweep_matches_per_point_planning():
     model = get_model("AlexNet")
     bandwidths = [4.0, 16.0, 64.0]
-    delta_points = bandwidth_sweep(model, bandwidths)
-    full_points = bandwidth_sweep(model, bandwidths, interlayer=False)
-    assert delta_points == full_points
+    points = bandwidth_sweep(model, bandwidths)
+    for point, bandwidth in zip(points, bandwidths, strict=True):
+        spec = replace(AcceleratorSpec(), dram_bandwidth_elems_per_cycle=bandwidth)
+        plan = plan_heterogeneous(model, spec, Objective.LATENCY)
+        assert point.accesses_bytes == plan.total_accesses_bytes
+        assert point.latency_cycles == plan.total_latency_cycles
+        assert point.policies == plan.policy_families_used
 
 
 def test_het_plan_ladder_matches_point_planning_and_cache_keys(tmp_path):

@@ -372,6 +372,19 @@ class TestWiring:
         _, banked = plans
         assert verify_plan(banked).ok
 
+    def test_clearing_caches_drops_the_bandwidth_memo(self, layer):
+        """A "cold" DRAM-backed re-plan must not hit memoized bandwidths."""
+        from repro.dram.trace import _effective_bandwidth
+        from repro.estimators import evaluate_layer
+        from repro.experiments.common import clear_in_process_caches
+
+        # A GLB size no other test plans at, so the evaluation is fresh.
+        banked = AcceleratorSpec(glb_bytes=kib(200)).with_dram(DEFAULT_DDR4_SPEC)
+        assert evaluate_layer(layer, banked)
+        assert _effective_bandwidth.cache_info().currsize > 0
+        clear_in_process_caches()
+        assert _effective_bandwidth.cache_info().currsize == 0
+
 
 class TestSweepExperiment:
     def test_bank_interleaved_beats_row_major_across_the_zoo(self):

@@ -1,10 +1,13 @@
-"""Scalar-vs-vectorized planner parity (the PR 8 parity oracle).
+"""Tile-search parity against the reference loop, plus planner type pins.
 
-The vectorized grid planner must be *bit-identical* to the original scalar
-implementation retained behind ``REPRO_SCALAR_PLANNER=1``: same winners,
-same tie-breaks, same audit trails, same exported JSON bytes.  These tests
-plan the zoo and hypothesis-fuzzed random chains under both paths and
-compare the serialized artifacts, and pin the exact Python types of every
+:class:`~repro.policies.tiled.TiledFallback` scores the whole tile grid as
+NumPy arrays; ``tests/reference_tiled.py`` keeps the original
+candidate-at-a-time loop.  These tests run both over every zoo layer and
+hypothesis-fuzzed random chains, at several budgets with and without
+prefetch, and require the same plan and the same capacity signature.
+Whole-plan byte identity is pinned by the golden corpus
+(``tests/test_plan_golden.py``).  The remaining tests pin Algorithm 1's
+stable tie-break, its reject reasons, and the exact Python types of every
 :class:`~repro.estimators.PolicyEvaluation` field so NumPy scalars can
 never leak into plans (and from there into cache keys or JSON output).
 """
@@ -12,8 +15,6 @@ never leak into plans (and from there into cache keys or JSON output).
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -24,46 +25,34 @@ from repro.analyzer.algorithm1 import _reject_reason, _select_index
 from repro.arch import AcceleratorSpec, kib
 from repro.estimators import evaluate_layer
 from repro.nn import LayerKind, LayerSpec, make_model
-from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
-from repro.plancore import ENV_SCALAR_PLANNER, scalar_planner_enabled
+from repro.nn.zoo import ALL_MODEL_NAMES, get_model
+from repro.policies.tiled import TiledFallback
+
+from .reference_tiled import reference_plan, reference_signature
+
+TILED = TiledFallback()
 
 
-@contextmanager
-def scalar_mode():
-    """Run the enclosed block on the scalar parity-oracle path."""
-    previous = os.environ.get(ENV_SCALAR_PLANNER)
-    os.environ[ENV_SCALAR_PLANNER] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_SCALAR_PLANNER, None)
-        else:
-            os.environ[ENV_SCALAR_PLANNER] = previous
-
-
-def _plan_bytes(model, spec, objective):
-    plan = plan_heterogeneous(model, spec, objective)
-    exported = json.dumps(plan_to_dict(plan), sort_keys=True)
-    trail = json.dumps(plan.explain().to_payload(), sort_keys=True)
-    return exported, trail
+def _assert_matches_reference(layer: LayerSpec, budget_elems: int) -> None:
+    for prefetch in (False, True):
+        args = (layer, budget_elems, prefetch)
+        context = f"{layer.name} @ {budget_elems} elems, prefetch={prefetch}"
+        assert TILED.plan(*args) == reference_plan(*args), context
+        assert TILED.capacity_signature(*args) == reference_signature(*args), context
 
 
 def test_zoo_plans_byte_identical_scalar_vs_vectorized():
-    """Full zoo: exported plans and explain() trails match byte for byte."""
-    assert not scalar_planner_enabled()
-    cases = [
-        (name, glb_kb, Objective.ACCESSES)
-        for name in PAPER_MODEL_NAMES
-        for glb_kb in (64, 256)
-    ] + [("ResNet18", 128, Objective.LATENCY)]
-    for name, glb_kb, objective in cases:
-        model = get_model(name)
-        spec = AcceleratorSpec(glb_bytes=kib(glb_kb))
-        vectorized = _plan_bytes(model, spec, objective)
-        with scalar_mode():
-            scalar = _plan_bytes(model, spec, objective)
-        assert vectorized == scalar, f"{name} @ {glb_kb} kB ({objective})"
+    """Every distinct zoo layer shape: same tile-search winner as the
+    reference loop, from budgets that force width tiling to roomy ones."""
+    layers = {
+        replace(layer, name=""): layer
+        for name in ALL_MODEL_NAMES
+        for layer in get_model(name).layers
+    }
+    for glb_kb in (8, 64, 1024):
+        budget = AcceleratorSpec(glb_bytes=kib(glb_kb)).glb_elems
+        for layer in layers.values():
+            _assert_matches_reference(layer, budget)
 
 
 @st.composite
@@ -106,17 +95,11 @@ def chain_models(draw):
     model=chain_models(),
     glb=st.sampled_from([kib(8), kib(32), kib(64), kib(256)]),
     width=st.sampled_from([8, 16]),
-    objective=st.sampled_from([Objective.ACCESSES, Objective.LATENCY]),
 )
-def test_fuzzed_plans_byte_identical_scalar_vs_vectorized(
-    model, glb, width, objective
-):
-    assert not scalar_planner_enabled()
-    spec = AcceleratorSpec(glb_bytes=glb, data_width_bits=width)
-    vectorized = _plan_bytes(model, spec, objective)
-    with scalar_mode():
-        scalar = _plan_bytes(model, spec, objective)
-    assert vectorized == scalar
+def test_fuzzed_plans_byte_identical_scalar_vs_vectorized(model, glb, width):
+    budget = AcceleratorSpec(glb_bytes=glb, data_width_bits=width).glb_elems
+    for layer in model.layers:
+        _assert_matches_reference(layer, budget)
 
 
 # ----------------------------------------------------------------------
@@ -136,17 +119,12 @@ def _twin_evaluations(conv_layer, spec64):
 
 
 def test_tie_break_keeps_earlier_candidate(conv_layer, spec64):
-    """On exact key ties Algorithm 1 must keep the earlier-listed candidate,
-    on both the scalar and the vectorized selection path."""
+    """On exact key ties Algorithm 1 must keep the earlier-listed candidate."""
     first, twin = _twin_evaluations(conv_layer, spec64)
     for objective in (Objective.ACCESSES, Objective.LATENCY):
         assert select_policy([first, twin], objective) is first
         assert select_policy([twin, first], objective) is twin
         assert _select_index([first, twin], objective) == 0
-        with scalar_mode():
-            assert select_policy([first, twin], objective) is first
-            assert select_policy([twin, first], objective) is twin
-            assert _select_index([first, twin], objective) == 0
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +176,6 @@ def test_audit_trail_records_subcycle_reason(conv_layer, spec64):
 def test_policy_evaluation_field_types_are_native(conv_layer, spec64):
     """Exact Python types: int64/float64 leakage would poison cached plans,
     cache keys and JSON exports."""
-    assert not scalar_planner_enabled()
     evaluations = evaluate_layer(conv_layer, spec64, always_fallback=True)
     assert evaluations
     for ev in evaluations:
