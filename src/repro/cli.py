@@ -17,8 +17,10 @@ Usage::
     python -m repro cache stats                    # shared plan-cache stats
     python -m repro bench serve --clients 4        # daemon load generator
 
-Model arguments accept either a zoo name or a path to a JSON model
-description (the Fig. 4 input format, see ``repro.nn.io``).
+Model arguments accept either a zoo name (case-insensitive) or a path to
+a JSON model description (the Fig. 4 input format, see ``repro.nn.io``).
+Usage errors (unknown model, bad ``--scheme``) print ``error: …`` and
+exit with code 2.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .analyzer import Objective, save_plan
 from .arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
@@ -36,21 +40,35 @@ from .manager import MemoryManager
 from .nn.io import load_model
 from .nn.model import Model
 from .nn.stats import layer_breakdown
-from .nn.zoo import PAPER_MODEL_NAMES, get_model
+from .nn.zoo import ALL_MODEL_NAMES, PAPER_MODEL_NAMES, get_model, resolve_model_name
 from .report.table import Table
 
 
+class UsageError(Exception):
+    """A bad argument value; :func:`main` prints ``error: …`` and returns 2."""
+
+
 def _resolve_model(name_or_path: str) -> Model:
-    """Load a model by zoo name or JSON file path."""
-    if name_or_path in PAPER_MODEL_NAMES:
-        return get_model(name_or_path)
+    """Load a model by zoo name (case-insensitive) or JSON file path."""
+    canonical = resolve_model_name(name_or_path)
+    if canonical is not None:
+        return get_model(canonical)
     path = Path(name_or_path)
     if path.exists():
         return load_model(path)
-    raise SystemExit(
-        f"error: {name_or_path!r} is neither a zoo model "
-        f"({', '.join(PAPER_MODEL_NAMES)}) nor an existing file"
+    raise UsageError(
+        f"{name_or_path!r} is neither a zoo model nor an existing file\n"
+        f"available models: {', '.join(ALL_MODEL_NAMES)}"
     )
+
+
+@contextmanager
+def _scheme_errors() -> Iterator[None]:
+    """Report an unknown or infeasible ``--scheme`` as a usage error."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        raise UsageError(exc.args[0] if exc.args else str(exc)) from None
 
 
 def _parse_glb_list(text: str) -> list[int]:
@@ -64,6 +82,24 @@ def _parse_glb_list(text: str) -> list[int]:
     if not sizes or any(size <= 0 for size in sizes):
         raise SystemExit(f"error: --glb-list sizes must be positive, got {text!r}")
     return sizes
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _artifact_id(name: str) -> str:
+    """argparse type: an id from the experiments ``ARTIFACTS`` registry."""
+    from .experiments.runner import ARTIFACTS
+
+    if name not in ARTIFACTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown artifact {name!r}\navailable artifacts: {', '.join(ARTIFACTS)}"
+        )
+    return name
 
 
 def _spec_from_args(args: argparse.Namespace) -> AcceleratorSpec:
@@ -85,11 +121,15 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_models(args: argparse.Namespace) -> int:
-    """List the model zoo with parameter/MAC totals."""
-    table = Table(title="Model zoo (Table 2)", headers=["Name", "Layers", "GMACs", "Weights (M)"])
-    for name in PAPER_MODEL_NAMES:
+    """List the model zoo with parameter/MAC totals, paper set first."""
+    table = Table(
+        title="Model zoo (paper = Table 2)",
+        headers=["Set", "Name", "Layers", "GMACs", "Weights (M)"],
+    )
+    for name in ALL_MODEL_NAMES:
         model = get_model(name)
         table.add_row(
+            "paper" if name in PAPER_MODEL_NAMES else "extended",
             name,
             model.num_layers,
             round(model.total_macs / 1e9, 2),
@@ -126,13 +166,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     """Produce, summarize and optionally export an execution plan."""
     model = _resolve_model(args.model)
     spec = _spec_from_args(args)
-    manager = MemoryManager(spec)
-    plan = manager.plan(
-        model,
-        Objective(args.objective),
-        scheme=args.scheme,
-        interlayer=args.interlayer,
-    )
+    with _scheme_errors():
+        plan = MemoryManager(spec).plan(
+            model,
+            Objective(args.objective),
+            scheme=args.scheme,
+            interlayer=args.interlayer,
+        )
     table = Table(
         title=f"{model.name} @ {args.glb} kB — {plan.scheme}, objective={args.objective}",
         headers=["Layer", "Policy", "Mem kB", "Accesses kB", "Latency (cyc)", "IL"],
@@ -191,15 +231,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     """Simulate the three fixed-partition baselines."""
-    from .scalesim import baseline_configs, simulate
-
     model = _resolve_model(args.model)
     table = Table(
         title=f"{model.name}: SCALE-Sim-style baselines @ {args.glb} kB",
         headers=["Partition", "DRAM MB", "Cycles", "Mean PE util"],
     )
-    for label, config in baseline_configs(kib(args.glb), data_width_bits=args.width).items():
-        result = simulate(model, config)
+    for label, result in MemoryManager(_spec_from_args(args)).baselines(model).items():
         table.add_row(
             label,
             round(to_mib(result.total_traffic_bytes), 2),
@@ -370,20 +407,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = []
     for model in models:
         for glb in sizes:
-            spec = AcceleratorSpec(
-                glb_bytes=glb,
-                data_width_bits=args.width,
-                ops_per_cycle=args.ops,
-                dram_bandwidth_elems_per_cycle=args.bandwidth,
-            )
+            spec = _spec_from_args(args).with_glb(glb)
             for scheme, interlayer in schemes:
-                result = verify_network(
-                    model,
-                    spec,
-                    scheme=scheme,
-                    objective=Objective(args.objective),
-                    interlayer=interlayer,
-                )
+                with _scheme_errors():
+                    result = verify_network(
+                        model,
+                        spec,
+                        scheme=scheme,
+                        objective=Objective(args.objective),
+                        interlayer=interlayer,
+                    )
                 report = result.report
                 reports.append(report)
                 table.add_row(
@@ -538,38 +571,18 @@ def cmd_dram(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    """Render the planner's decision audit trail as a per-layer table.
-
-    Model lookup is case-insensitive over the full zoo (so
-    ``repro explain resnet18`` works); a JSON model path is accepted too.
-    Unknown models exit with code 2 and list the available ids, mirroring
-    the ``UnknownArtifactError`` convention of the experiments CLI.
-    """
+    """Render the planner's decision audit trail as a per-layer table."""
     import json
 
-    from .nn.zoo import ALL_MODEL_NAMES
-
-    canonical = {name.lower(): name for name in ALL_MODEL_NAMES}.get(
-        args.model.lower()
-    )
-    if canonical is not None:
-        model = get_model(canonical)
-    elif Path(args.model).exists():
-        model = load_model(Path(args.model))
-    else:
-        print(
-            f"error: unknown model {args.model!r}\n"
-            f"available models: {', '.join(ALL_MODEL_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
+    model = _resolve_model(args.model)
     spec = _spec_from_args(args)
-    plan = MemoryManager(spec).plan(
-        model,
-        Objective(args.objective),
-        scheme=args.scheme,
-        interlayer=args.interlayer,
-    )
+    with _scheme_errors():
+        plan = MemoryManager(spec).plan(
+            model,
+            Objective(args.objective),
+            scheme=args.scheme,
+            interlayer=args.interlayer,
+        )
     trail = plan.explain()
     if args.format == "json":
         print(json.dumps(trail.to_payload(), indent=2))
@@ -619,29 +632,49 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    """Forward to the experiments runner (engine-backed).
+    """Regenerate paper artifacts through the experiment engine.
 
-    Unknown artifact ids exit with an argparse-style error (code 2)
-    listing the available ids, exactly like ``python -m repro.experiments``.
+    Execution fans across ``--jobs`` workers backed by the persistent
+    plan cache; output is bit-identical at any job count and cache
+    temperature.  ``--no-cache`` and ``--trace-out`` export their flags
+    for the run's worker processes and restore them when the run ends,
+    on success or failure.
     """
-    from .experiments.runner import main as experiments_main
+    from . import obs
+    from .experiments import cache
+    from .experiments.runner import run_report
 
-    forwarded = list(args.artifacts)
-    if args.csv:
-        forwarded = ["--csv", args.csv, *forwarded]
-    if args.jobs != 1:
-        forwarded = ["--jobs", str(args.jobs), *forwarded]
-    if args.bench:
-        forwarded = ["--bench", args.bench, *forwarded]
+    saved_no_cache = os.environ.get(cache.ENV_NO_CACHE)  # repro: noqa[R011] -- saved only to restore the caller's value when the run ends; never enters results
     if args.no_cache:
-        forwarded = ["--no-cache", *forwarded]
-    if args.clear_cache:
-        forwarded = ["--clear-cache", *forwarded]
+        os.environ[cache.ENV_NO_CACHE] = "1"
     if args.trace_out:
-        forwarded = ["--trace-out", args.trace_out, *forwarded]
-    if args.metrics:
-        forwarded = ["--metrics", *forwarded]
-    return experiments_main(forwarded)
+        # Telemetry only: results are bit-identical with tracing on or off.
+        obs.enable_tracing()
+    try:
+        report = run_report(
+            csv_dir=args.csv, only=args.artifacts or None, jobs=args.jobs
+        )
+        for table in report.tables:
+            print(table.render())
+            print()
+        print(report.summary_table().render())
+        if args.metrics:
+            print()
+            print(report.metrics_table().render())
+        if args.bench:
+            report.write_bench(args.bench)
+            print(f"\nperf record written to {args.bench}")
+        if args.trace_out:
+            path = report.write_trace(args.trace_out)
+            print(f"\ntrace written to {path} (load in Perfetto or chrome://tracing)")
+    finally:
+        if args.trace_out:
+            obs.disable_tracing()
+        if saved_no_cache is None:
+            os.environ.pop(cache.ENV_NO_CACHE, None)
+        else:
+            os.environ[cache.ENV_NO_CACHE] = saved_no_cache
+    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -929,19 +962,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dram)
 
     p = sub.add_parser("experiments", help="regenerate paper artifacts")
-    p.add_argument("artifacts", nargs="*")
-    p.add_argument("--csv", metavar="DIR")
     p.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
+        "artifacts", nargs="*", type=_artifact_id,
+        help="subset to run (default: all; ids in EXPERIMENTS.md)",
+    )
+    p.add_argument("--csv", metavar="DIR", help="also write one CSV per artifact here")
+    p.add_argument(
+        "--jobs", "-j", type=_positive_int, default=1, metavar="N",
         help="worker processes (default 1 = serial; output is identical)",
     )
     p.add_argument("--bench", metavar="FILE", help="write timing/cache JSON record")
     p.add_argument(
-        "--no-cache", action="store_true", help="disable the persistent plan cache"
-    )
-    p.add_argument(
-        "--clear-cache", action="store_true",
-        help="delete the persistent plan cache and exit",
+        "--no-cache", action="store_true",
+        help="disable the persistent plan cache for this run",
     )
     p.add_argument(
         "--trace-out", metavar="FILE",
@@ -1005,7 +1038,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    status: int = args.func(args)
+    try:
+        status: int = args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

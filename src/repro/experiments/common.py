@@ -24,19 +24,14 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from ..analyzer import (
-    ExecutionPlan,
-    Objective,
-    SweepPlanner,
-    best_homogeneous,
-    plan_heterogeneous,
-)
+from ..analyzer import ExecutionPlan, Objective, SweepPlanner
 from ..arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
 from ..arch.units import kib
 from ..estimators.evaluate import clear_evaluation_memo
+from ..manager import MemoryManager
 from ..nn.model import Model
 from ..nn.zoo import PAPER_MODEL_NAMES, get_model
-from ..scalesim import SimulationResult, baseline_configs, simulate
+from ..scalesim import SimulationResult
 from . import cache
 
 #: GLB sizes in kB, as labeled on the paper's x-axes.
@@ -59,28 +54,16 @@ def cached_het_plan(
 ) -> ExecutionPlan:
     """Heterogeneous plan for an arbitrary model/spec, persistently cached.
 
-    The key covers the model's full layer-dimension digest and every spec
-    field, so resolution sweeps and custom specs cache correctly.
+    Goes through :meth:`MemoryManager.plan_cached`, whose key covers the
+    model's full layer-dimension digest and every spec field, so
+    resolution sweeps and custom specs cache correctly.
     """
-    key = cache.plan_cache_key(
-        "het",
+    return MemoryManager(spec).plan_cached(
         model,
-        spec,
         objective,
-        allow_prefetch=allow_prefetch,
+        prefetch=allow_prefetch,
         interlayer=interlayer,
         interlayer_mode=interlayer_mode,
-    )
-    return cache.fetch(
-        key,
-        lambda: plan_heterogeneous(
-            model,
-            spec,
-            objective,
-            allow_prefetch=allow_prefetch,
-            interlayer=interlayer,
-            interlayer_mode=interlayer_mode,
-        ),
     )
 
 
@@ -92,14 +75,8 @@ def cached_hom_plan(
     allow_prefetch: bool = True,
 ) -> ExecutionPlan:
     """Best homogeneous plan for an arbitrary model/spec, persistently cached."""
-    key = cache.plan_cache_key(
-        "hom", model, spec, objective, allow_prefetch=allow_prefetch
-    )
-    return cache.fetch(
-        key,
-        lambda: best_homogeneous(
-            model, spec, objective, allow_prefetch=allow_prefetch
-        ),
+    return MemoryManager(spec).plan_cached(
+        model, objective, scheme="hom", prefetch=allow_prefetch
     )
 
 
@@ -182,19 +159,10 @@ def baseline_results(
     every later caller in the process (and with the on-disk cache), so
     mutation would corrupt subsequent artifacts.
     """
-    model: Model = get_model(model_name)
-    spec = spec_for(glb_kb, data_width_bits)
-    key = cache.make_key(
-        "baseline",
-        model=cache.model_digest(model),
-        spec=cache.spec_payload(spec),
-    )
-
-    def compute() -> dict[str, SimulationResult]:
-        configs = baseline_configs(kib(glb_kb), data_width_bits=data_width_bits)
-        return {label: simulate(model, config) for label, config in configs.items()}
-
-    return MappingProxyType(cache.fetch(key, compute))
+    results, _hit, _key = MemoryManager(
+        spec_for(glb_kb, data_width_bits)
+    ).baselines_cached_detail(get_model(model_name))
+    return MappingProxyType(results)
 
 
 def clear_in_process_caches() -> None:

@@ -1,16 +1,17 @@
-"""Run every experiment and print/export the paper artifacts.
+"""The artifact registry and the functions that generate it.
 
-Usage::
+``repro experiments`` (see :mod:`repro.cli`) is the command-line front
+end::
 
-    python -m repro.experiments                 # print all tables
-    python -m repro.experiments --csv DIR       # also write one CSV per artifact
-    python -m repro.experiments --jobs 4        # fan across a process pool
-    python -m repro.experiments --bench B.json  # export timing/cache record
-    python -m repro.experiments --clear-cache   # drop the persistent cache
+    python -m repro experiments                 # print all tables
+    python -m repro experiments fig5 table3     # a subset
+    python -m repro experiments --csv DIR       # also write one CSV per artifact
+    python -m repro experiments --jobs 4        # fan across a process pool
+    python -m repro experiments --bench B.json  # export timing/cache record
 
 Execution is delegated to :mod:`repro.experiments.engine`: artifacts (and,
 within the heavy ones, their model × GLB planning grids) fan across
-``--jobs`` workers, backed by the persistent plan cache in
+``jobs`` workers, backed by the persistent plan cache in
 :mod:`repro.experiments.cache`.  Output is bit-identical at any job count
 and cache temperature; a summary reports per-artifact wall time and cache
 hits/misses.
@@ -18,8 +19,6 @@ hits/misses.
 
 from __future__ import annotations
 
-import argparse
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -27,7 +26,7 @@ if TYPE_CHECKING:
     from .engine import EngineReport
 
 from ..report.table import Table
-from . import ablations, bounds, cache, dram_sweep, energy, fig1, fig3, fig5, fig6, fig7, fig8, fig9, fig10, fig11, resolution
+from . import ablations, bounds, dram_sweep, energy, fig1, fig3, fig5, fig6, fig7, fig8, fig9, fig10, fig11, resolution
 from . import table2, table3, table4
 
 #: artifact id -> callable producing its Table.
@@ -64,9 +63,9 @@ ARTIFACTS: dict[str, Callable[[], Table]] = {
 class UnknownArtifactError(KeyError):
     """Raised when a requested artifact id is not in the registry.
 
-    Subclasses :class:`KeyError` for backward compatibility; the CLIs
-    convert it to an argparse-style error (exit code 2) instead of a raw
-    traceback.
+    Subclasses :class:`KeyError` for backward compatibility; the CLI
+    rejects unknown ids while parsing arguments (exit code 2), before any
+    work starts.
     """
 
     def __init__(self, unknown: Sequence[str], available: Sequence[str]) -> None:
@@ -110,94 +109,3 @@ def run_report(
         for result in report.results:
             result.table.save_csv(out / f"{result.name}.csv")
     return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: print (and optionally export) artifacts."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--csv", metavar="DIR", help="export CSVs to this directory")
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial; output is identical)",
-    )
-    parser.add_argument(
-        "--bench",
-        metavar="FILE",
-        help="write the timing/cache record as JSON (BENCH_experiments.json)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent on-disk plan cache for this run",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="enable tracing and write a Perfetto-loadable Chrome trace "
-        "(repro-telemetry/1 JSON) for the run",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the run's merged metric counters/gauges/histograms",
-    )
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="delete the persistent plan cache and exit",
-    )
-    parser.add_argument(
-        "artifacts",
-        nargs="*",
-        help=f"subset to run (default: all of {', '.join(ARTIFACTS)})",
-    )
-    args = parser.parse_args(argv)
-
-    if args.clear_cache:
-        removed = cache.clear()
-        print(f"cleared {removed} cache entries from {cache.cache_dir()}")
-        return 0
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.no_cache:
-        # Exported so the engine's worker processes inherit it too.
-        os.environ[cache.ENV_NO_CACHE] = "1"
-
-    unknown = [n for n in args.artifacts if n not in ARTIFACTS]
-    if unknown:
-        parser.error(
-            f"unknown artifact(s): {', '.join(unknown)}\n"
-            f"available artifacts: {', '.join(ARTIFACTS)}"
-        )
-
-    if args.trace_out:
-        # Exported so the engine's worker processes trace too; telemetry
-        # only — results are bit-identical with tracing on or off.
-        from .. import obs
-
-        obs.enable_tracing()
-
-    report = run_report(
-        csv_dir=args.csv, only=args.artifacts or None, jobs=args.jobs
-    )
-    for table in report.tables:
-        print(table.render())
-        print()
-    print(report.summary_table().render())
-    if args.metrics:
-        print()
-        print(report.metrics_table().render())
-    if args.bench:
-        report.write_bench(args.bench)
-        print(f"\nperf record written to {args.bench}")
-    if args.trace_out:
-        from .. import obs
-
-        path = report.write_trace(args.trace_out)
-        obs.disable_tracing()
-        print(f"\ntrace written to {path} (load in Perfetto or chrome://tracing)")
-    return 0

@@ -140,8 +140,8 @@ class MemoryManager:
         The key covers the model's full layer-dimension digest, every
         spec field (``data_width_bits`` and DRAM configuration included)
         and all planning flags, so any change to the inputs is a cache
-        miss.  Keys are shared with :mod:`repro.experiments.common` and
-        with the ``repro serve`` daemon — serving a plan anywhere warms
+        miss.  :mod:`repro.experiments.common` and the ``repro serve``
+        daemon plan through this method — serving a plan anywhere warms
         every other entry point.  Set ``REPRO_NO_CACHE=1`` to force
         recomputation.
         """
@@ -244,6 +244,36 @@ class MemoryManager:
     # Baseline comparison
     # ------------------------------------------------------------------
 
+    def baselines(self, model: Model) -> dict[str, SimulationResult]:
+        """Simulate the three §4 fixed-partition baselines at this GLB size."""
+        configs = baseline_configs(
+            self.spec.glb_bytes, data_width_bits=self.spec.data_width_bits
+        )
+        return {label: simulate(model, cfg) for label, cfg in configs.items()}
+
+    def baselines_cached_detail(
+        self, model: Model
+    ) -> tuple[dict[str, SimulationResult], bool, str]:
+        """:meth:`baselines` through the persistent cache, with observability.
+
+        Returns ``(results, cache_hit, cache_key)``, like
+        :meth:`plan_cached_detail`.  The experiment suite and the serve
+        ``/simulate`` endpoint share these ``baseline`` entries.
+        """
+        from .experiments import cache
+
+        key = cache.make_key(
+            "baseline",
+            model=cache.model_digest(model),
+            spec=cache.spec_payload(self.spec),
+        )
+        hit, cached = cache.lookup(key)
+        if hit:
+            return cached, True, key
+        results = self.baselines(model)
+        cache.store(key, results)
+        return results, False, key
+
     def compare_with_baseline(
         self,
         model: Model,
@@ -252,8 +282,4 @@ class MemoryManager:
     ) -> BaselineComparison:
         """Plan the model and simulate the three §4 baseline partitions."""
         plan = self.plan(model, objective, **plan_kwargs)
-        configs = baseline_configs(
-            self.spec.glb_bytes, data_width_bits=self.spec.data_width_bits
-        )
-        baselines = {label: simulate(model, cfg) for label, cfg in configs.items()}
-        return BaselineComparison(plan=plan, baselines=baselines)
+        return BaselineComparison(plan=plan, baselines=self.baselines(model))

@@ -18,6 +18,7 @@ from .registry import (
     PAPER_MODEL_NAMES,
     get_model,
     paper_models,
+    resolve_model_name,
 )
 from .resnet18 import build_resnet18
 
@@ -30,6 +31,7 @@ __all__ = [
     "build_resnet18",
     "get_model",
     "paper_models",
+    "resolve_model_name",
     "PAPER_MODEL_NAMES",
     "PAPER_LAYER_COUNTS",
     "ALL_MODEL_NAMES",

@@ -47,6 +47,8 @@ _BUILDERS.update(
 #: All registered model names (paper set first).
 ALL_MODEL_NAMES = tuple(_BUILDERS)
 
+_BY_LOWER_NAME = {name.lower(): name for name in ALL_MODEL_NAMES}
+
 #: Expected layer counts from Table 2 (validated by the test suite).
 PAPER_LAYER_COUNTS = {
     "EfficientNetB0": 82,
@@ -72,6 +74,15 @@ def get_model(name: str, input_size: int | None = None) -> Model:
             f"unknown model {name!r}; available: {', '.join(_BUILDERS)}"
         ) from None
     return builder() if input_size is None else builder(input_size=input_size)
+
+
+def resolve_model_name(name: str) -> str | None:
+    """The zoo spelling of ``name`` matched case-insensitively, or ``None``.
+
+    The one model-name resolver: every CLI command and the serve daemon
+    accept ``resnet18`` as well as ``ResNet18``.
+    """
+    return _BY_LOWER_NAME.get(name.lower())
 
 
 def paper_models() -> tuple[Model, ...]:

@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable
 
-from ..analyzer import Objective
+from ..analyzer import ExecutionPlan, Objective
 from ..analyzer.export import plan_to_dict
 from ..arch.spec import AcceleratorSpec
 from ..arch.units import kib
 from ..manager import MemoryManager
-from ..nn.zoo import ALL_MODEL_NAMES, get_model
+from ..nn.zoo import ALL_MODEL_NAMES, get_model, resolve_model_name
 from .protocol import (
     ENDPOINTS,
     ProtocolError,
@@ -39,10 +39,8 @@ from .protocol import (
 
 
 def _resolve_model_name(name: str) -> str:
-    """Map a request's model name onto the zoo (case-insensitive)."""
-    canonical = {known.lower(): known for known in ALL_MODEL_NAMES}.get(
-        name.lower()
-    )
+    """Map a request's model name onto the zoo (names only, never paths)."""
+    canonical = resolve_model_name(name)
     if canonical is None:
         raise ProtocolError(
             "unknown-model",
@@ -117,40 +115,15 @@ def handle_stats(params: Any = None) -> dict[str, Any]:
     }
 
 
-def handle_plan(params: Any) -> dict[str, Any]:
-    """Plan a model through the shared cache; the daemon's core endpoint.
+def _cached_plan(params: Any) -> tuple[PlanRequest, ExecutionPlan, dict[str, Any]]:
+    """Plan one request through the shared cache.
 
-    The response's ``plan`` sub-object is byte-identical (under
-    :func:`~repro.serve.protocol.canonical_json`) to
-    ``plan_to_dict(MemoryManager(spec).plan_cached(...))`` for the same
-    request — the acceptance property the load generator asserts.
+    Returns the canonical request, the plan and the response's ``cache``
+    object; an infeasible or unknown scheme is a ``bad-request``.
     """
     request = _canonical_request(params)
-    manager = MemoryManager(_spec_for(request))
     try:
-        plan, hit, key = manager.plan_cached_detail(
-            get_model(request.model),
-            Objective(request.objective),
-            scheme=request.scheme,
-            prefetch=request.prefetch,
-            interlayer=request.interlayer,
-            interlayer_mode=request.interlayer_mode,
-        )
-    except (ValueError, KeyError) as exc:  # infeasible or unknown scheme
-        raise ProtocolError("bad-request", str(exc)) from exc
-    return {
-        "request": request.to_params(),
-        "plan": plan_to_dict(plan),
-        "cache": {"hit": hit, "key": key},
-    }
-
-
-def handle_explain(params: Any) -> dict[str, Any]:
-    """The planner's per-layer decision audit trail for one request."""
-    request = _canonical_request(params)
-    manager = MemoryManager(_spec_for(request))
-    try:
-        plan, hit, key = manager.plan_cached_detail(
+        plan, hit, key = MemoryManager(_spec_for(request)).plan_cached_detail(
             get_model(request.model),
             Objective(request.objective),
             scheme=request.scheme,
@@ -160,10 +133,28 @@ def handle_explain(params: Any) -> dict[str, Any]:
         )
     except (ValueError, KeyError) as exc:
         raise ProtocolError("bad-request", str(exc)) from exc
+    return request, plan, {"hit": hit, "key": key}
+
+
+def handle_plan(params: Any) -> dict[str, Any]:
+    """Plan a model through the shared cache; the daemon's core endpoint.
+
+    The response's ``plan`` sub-object is byte-identical (under
+    :func:`~repro.serve.protocol.canonical_json`) to
+    ``plan_to_dict(MemoryManager(spec).plan_cached(...))`` for the same
+    request — the acceptance property the load generator asserts.
+    """
+    request, plan, cache = _cached_plan(params)
+    return {"request": request.to_params(), "plan": plan_to_dict(plan), "cache": cache}
+
+
+def handle_explain(params: Any) -> dict[str, Any]:
+    """The planner's per-layer decision audit trail for one request."""
+    request, plan, cache = _cached_plan(params)
     return {
         "request": request.to_params(),
         "explain": plan.explain().to_payload(),
-        "cache": {"hit": hit, "key": key},
+        "cache": cache,
     }
 
 
@@ -171,31 +162,14 @@ def handle_simulate(params: Any) -> dict[str, Any]:
     """Simulate the three fixed-partition baselines for one request.
 
     Results go through the same content-addressed cache as the
-    experiment suite's ``baseline`` entries (identical keys), so a
-    daemon serving simulate traffic warms the Fig. 5/8 artifacts too.
+    experiment suite's ``baseline`` entries
+    (:meth:`MemoryManager.baselines_cached_detail`), so a daemon serving
+    simulate traffic warms the Fig. 5/8 artifacts too.
     """
-    from ..experiments import cache
-    from ..scalesim import SimulationResult, baseline_configs, simulate
-
     request = _canonical_request(params)
-    model = get_model(request.model)
-    spec = _spec_for(request)
-    key = cache.make_key(
-        "baseline",
-        model=cache.model_digest(model),
-        spec=cache.spec_payload(spec),
+    results, hit, key = MemoryManager(_spec_for(request)).baselines_cached_detail(
+        get_model(request.model)
     )
-    hit, cached = cache.lookup(key)
-    if hit:
-        results: dict[str, SimulationResult] = dict(cached)
-    else:
-        configs = baseline_configs(
-            spec.glb_bytes, data_width_bits=spec.data_width_bits
-        )
-        results = {
-            label: simulate(model, config) for label, config in configs.items()
-        }
-        cache.store(key, results)
     return {
         "request": request.to_params(),
         "baselines": {

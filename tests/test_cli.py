@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.nn import save_model
-from repro.nn.zoo import get_model
+from repro.nn.zoo import ALL_MODEL_NAMES, PAPER_MODEL_NAMES, get_model
 
 
 class TestModelsAndInspect:
@@ -15,6 +15,15 @@ class TestModelsAndInspect:
         out = capsys.readouterr().out
         for name in ("ResNet18", "MobileNet", "EfficientNetB0"):
             assert name in out
+
+    def test_models_lists_whole_zoo_paper_first(self, capsys):
+        assert main(["models"]) == 0
+        rows = [line.split("|") for line in capsys.readouterr().out.splitlines()]
+        listed = [(row[0].strip(), row[1].strip()) for row in rows if len(row) == 5]
+        listed = [entry for entry in listed if entry[1] in ALL_MODEL_NAMES]
+        assert [name for _set, name in listed] == list(ALL_MODEL_NAMES)
+        for group, name in listed:
+            assert group == ("paper" if name in PAPER_MODEL_NAMES else "extended")
 
     def test_inspect_zoo_model(self, capsys):
         assert main(["inspect", "ResNet18"]) == 0
@@ -27,9 +36,16 @@ class TestModelsAndInspect:
         assert main(["inspect", str(path)]) == 0
         assert "dw1" in capsys.readouterr().out
 
-    def test_unknown_model(self):
-        with pytest.raises(SystemExit):
-            main(["inspect", "NotAModel"])
+    def test_unknown_model(self, capsys):
+        assert main(["inspect", "NotAModel"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NotAModel" in err
+        assert "VGG16" in err  # lists the whole zoo
+
+    @pytest.mark.parametrize("command", ["inspect", "plan", "baseline", "explain"])
+    @pytest.mark.parametrize("name", ["resnet18", "VGG16"])
+    def test_every_command_resolves_case_insensitive_zoo_names(self, command, name, capsys):
+        assert main([command, name]) == 0
 
 
 class TestPlan:
@@ -57,6 +73,17 @@ class TestPlan:
         assert main(["plan", "MobileNet", "--scheme", "hom(p1)"]) == 0
         out = capsys.readouterr().out
         assert "hom(p1)" in out
+
+    @pytest.mark.parametrize("command", ["plan", "explain", "verify"])
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [("hom(p9)", "unknown policy family 'p9'"), ("bogus", "unknown scheme 'bogus'")],
+    )
+    def test_bad_scheme_is_usage_error(self, command, scheme, message, capsys):
+        assert main([command, "ResNet18", "--scheme", scheme]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.out
 
 
 class TestBaselineCompareSweep:

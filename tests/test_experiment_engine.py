@@ -17,9 +17,11 @@ from repro.analyzer import Objective
 from repro.arch.spec import AcceleratorSpec
 from repro.experiments import cache, common
 from repro.experiments.engine import plan_tasks, run_experiments
-from repro.experiments.runner import ARTIFACTS, UnknownArtifactError, main, run_all, run_report
+from repro.cli import main
+from repro.experiments.runner import ARTIFACTS, UnknownArtifactError, run_all, run_report
 from repro.manager import MemoryManager
 from repro.nn.zoo import get_model
+from repro.serve.handlers import execute
 
 #: Fast artifact subset used for the parity checks.
 FAST_SUBSET = ["table2", "fig1", "dram-sweep"]
@@ -29,13 +31,10 @@ FAST_SUBSET = ["table2", "fig1", "dram-sweep"]
 def isolated_cache(tmp_path, monkeypatch):
     """Point the persistent cache at a fresh tmp dir and reset memoization."""
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "plan-cache"))
-    # Popped directly (not via monkeypatch) because `main(["--no-cache", ...])`
-    # exports the variable itself; monkeypatch must not restore that leak.
-    os.environ.pop(cache.ENV_NO_CACHE, None)
+    monkeypatch.delenv(cache.ENV_NO_CACHE, raising=False)
     common.clear_in_process_caches()
     cache.stats.reset()
     yield
-    os.environ.pop(cache.ENV_NO_CACHE, None)
     common.clear_in_process_caches()
     cache.stats.reset()
 
@@ -145,6 +144,26 @@ class TestCacheStorage:
         assert cache.stats.hits == 1  # same entry, no recompute
         assert via_common.total_accesses_bytes == plan.total_accesses_bytes
 
+    def test_served_plan_warms_common_het_plan(self):
+        status, _ = execute("plan", {"model": "MobileNet", "glb_kb": 64})
+        assert status == 200 and cache.entry_count() == 1
+        cache.stats.reset()
+        common.het_plan("MobileNet", 64)
+        assert cache.stats.snapshot()["hits"] == 1
+        assert cache.stats.snapshot()["misses"] == 0
+
+    def test_served_simulate_warms_common_baseline_results(self):
+        status, envelope = execute("simulate", {"model": "MobileNet", "glb_kb": 64})
+        assert status == 200 and not envelope["result"]["cache"]["hit"]
+        cache.stats.reset()
+        results = common.baseline_results("MobileNet", 64)
+        assert cache.stats.snapshot()["hits"] == 1
+        assert cache.stats.snapshot()["misses"] == 0
+        served = envelope["result"]["baselines"]
+        assert {k: v.total_traffic_bytes for k, v in results.items()} == {
+            k: v["traffic_bytes"] for k, v in served.items()
+        }
+
 
 class TestImmutability:
     def test_baseline_results_read_only(self):
@@ -178,25 +197,17 @@ class TestUnknownArtifact:
         with pytest.raises(KeyError):
             run_all(only=["fig99"])
 
-    def test_module_cli_exits_2(self, capsys):
+    def test_repro_cli_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["fig99"])
+            main(["experiments", "fig99"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "fig99" in err
-        assert "table2" in err  # available ids are listed
-
-    def test_repro_cli_exits_2(self, capsys):
-        from repro.cli import main as repro_main
-
-        with pytest.raises(SystemExit) as exc:
-            repro_main(["experiments", "fig99"])
-        assert exc.value.code == 2
-        assert "available artifacts" in capsys.readouterr().err
+        assert "fig99" in err and "table2" in err
+        assert "available artifacts" in err
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit) as exc:
-            main(["--jobs", "0", "table2"])
+            main(["experiments", "--jobs", "0", "table2"])
         assert exc.value.code == 2
 
 
@@ -269,19 +280,45 @@ class TestInstrumentation:
 class TestRunnerCli:
     def test_jobs_flag_and_bench(self, tmp_path, capsys):
         bench = tmp_path / "bench.json"
-        assert main(["--jobs", "2", "--bench", str(bench), "table2", "fig1"]) == 0
+        assert main(
+            ["experiments", "--jobs", "2", "--bench", str(bench), "table2", "fig1"]
+        ) == 0
         out = capsys.readouterr().out
         assert "Table 2" in out
         assert "Experiment engine summary (jobs=2)" in out
         assert json.loads(bench.read_text())["jobs"] == 2
 
-    def test_clear_cache_flag(self, capsys):
-        common.het_plan("MobileNet", 64)
-        assert cache.entry_count() == 1
-        assert main(["--clear-cache"]) == 0
-        assert cache.entry_count() == 0
-        assert "cleared 1 cache entries" in capsys.readouterr().out
-
     def test_no_cache_flag(self, capsys):
-        assert main(["--no-cache", "table2"]) == 0
+        assert main(["experiments", "--no-cache", "table2"]) == 0
         assert cache.entry_count() == 0
+
+    def test_no_cache_flag_does_not_leak(self, tmp_path, capsys):
+        bench = tmp_path / "bench.json"
+        assert main(["experiments", "--no-cache", "--bench", str(bench), "table2"]) == 0
+        assert json.loads(bench.read_text())["cache"]["enabled"] is False
+        assert cache.ENV_NO_CACHE not in os.environ
+        assert cache.cache_enabled()
+
+    def test_no_cache_flag_restores_previous_value(self, monkeypatch, capsys):
+        monkeypatch.setenv(cache.ENV_NO_CACHE, "yes")
+        assert main(["experiments", "--no-cache", "table2"]) == 0
+        assert os.environ[cache.ENV_NO_CACHE] == "yes"
+
+    def test_trace_out_disabled_on_error_path(self, tmp_path, monkeypatch):
+        from repro import obs
+        from repro.experiments import runner
+
+        def boom(**_kwargs):
+            raise RuntimeError("artifact failed")
+
+        monkeypatch.setattr(runner, "run_report", boom)
+        with pytest.raises(RuntimeError, match="artifact failed"):
+            main(
+                [
+                    "experiments", "--no-cache", "table2",
+                    "--trace-out", str(tmp_path / "trace.json"),
+                ]
+            )
+        assert obs.ENV_TRACE not in os.environ
+        assert type(obs.get_tracer()) is obs.NullTracer
+        assert cache.ENV_NO_CACHE not in os.environ

@@ -71,7 +71,7 @@ def test_repro_lint_strict_clean() -> None:
 def test_trace_out_smoke_emits_schema_valid_trace(tmp_path: Path) -> None:
     """CI smoke: ``--trace-out`` writes a valid ``repro-telemetry/1`` file.
 
-    Mirrors the CI telemetry step (``python -m repro.experiments ...
+    Mirrors the CI telemetry step (``python -m repro experiments ...
     --trace-out``); the emitted JSON must pass the schema validator and
     carry the Chrome ``trace_event`` keys Perfetto requires.
     """
@@ -84,7 +84,8 @@ def test_trace_out_smoke_emits_schema_valid_trace(tmp_path: Path) -> None:
         [
             sys.executable,
             "-m",
-            "repro.experiments",
+            "repro",
+            "experiments",
             "table2",
             "--trace-out",
             str(trace),
