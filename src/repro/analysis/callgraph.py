@@ -1,6 +1,6 @@
 """Project-wide call graph over the analyzed source set.
 
-The per-file rule packs (R001–R015) see one AST at a time; the
+The per-file rule packs (R002–R031) see one AST at a time; the
 interprocedural packs — unit-flow (R040–R044, :mod:`.unitflow`) and
 determinism-reachability (R050–R053, :mod:`.reach_rules`) — need to know
 *who calls whom across the whole of* ``src/repro``.  This module builds

@@ -1,4 +1,4 @@
-"""Determinism & parallel-safety rule pack (``R010``–``R015``).
+"""Determinism & parallel-safety rule pack (``R010``–``R012``, ``R015``).
 
 The experiment engine (:mod:`repro.experiments.engine`) fans planning
 work across a process pool on top of a content-addressed on-disk cache
@@ -6,7 +6,10 @@ work across a process pool on top of a content-addressed on-disk cache
 runtime plan verifier cannot check, because it is a property of *code*
 rather than of plans: worker functions must be pure (same inputs, same
 bytes, in every process), picklable, and must derive cache keys from
-deterministically ordered data.  These rules encode the contract:
+deterministically ordered data.  These rules encode the contract (the
+ordering half — set iteration and unsorted ``json.dumps`` on the
+cache-key path — is the reachability pack's R052/R053, in
+:mod:`repro.analysis.reach_rules`):
 
 * ``R010``/``R011`` flag nondeterministic inputs (clocks, RNGs, pids,
   environment reads) anywhere in the library — the worker-reachable set
@@ -15,10 +18,6 @@ deterministically ordered data.  These rules encode the contract:
 * ``R012`` flags lambdas/nested functions submitted to a process pool
   (they fail to pickle, but only at runtime and only on the parallel
   path).
-* ``R013``/``R014`` flag order-unstable constructs inside functions that
-  build digests or cache keys (set iteration without ``sorted``,
-  ``json.dumps`` without ``sort_keys=True``) — set order varies with
-  ``PYTHONHASHSEED`` across worker processes.
 * ``R015`` flags mutable module-level state: each pool worker gets a
   private copy, so mutations silently diverge between processes.
 """
@@ -26,7 +25,6 @@ deterministically ordered data.  These rules encode the contract:
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from .findings import Finding
@@ -76,9 +74,6 @@ _POOL_CONSTRUCTORS = frozenset(
         "multiprocessing.pool.Pool",
     }
 )
-
-#: Function names that construct digests / cache keys (R013, R014).
-_DIGEST_CONTEXT = re.compile(r"digest|fingerprint|canonical|hash|(?:^|_)key")
 
 #: Mutable builtin constructors for R015.
 _MUTABLE_CONSTRUCTORS = frozenset(
@@ -297,70 +292,6 @@ def check_pool_submissions(file: SourceFile) -> Iterator[Finding]:
     # The second pass records pool names / nested defs twice; findings were
     # cleared in between, so each violation is reported exactly once.
     yield from visitor.findings
-
-
-def _digest_functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function whose name marks it as digest/key construction."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if _DIGEST_CONTEXT.search(node.name.lower()):
-                yield node
-
-
-def _is_set_expr(node: ast.expr) -> bool:
-    """Whether an expression evidently evaluates to a set/frozenset."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    return False
-
-
-@rule("R013")
-def check_unordered_digest_iteration(file: SourceFile) -> Iterator[Finding]:
-    """Flag set iteration without sorted() inside digest construction."""
-    for func in _digest_functions(file.tree):
-        for node in ast.walk(func):
-            iters: list[ast.expr] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if _is_set_expr(it):
-                    yield file.finding(
-                        "R013",
-                        node,
-                        f"iteration over an unordered set in digest function "
-                        f"'{func.name}'; wrap it in sorted() — set order "
-                        f"varies with PYTHONHASHSEED across processes",
-                    )
-
-
-@rule("R014")
-def check_unsorted_json_digest(file: SourceFile) -> Iterator[Finding]:
-    """Flag json.dumps without sort_keys=True in digest construction."""
-    aliases = import_map(file.tree)
-    for func in _digest_functions(file.tree):
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node.func, aliases)
-            if target != "json.dumps":
-                continue
-            sorts = any(
-                kw.arg == "sort_keys"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            )
-            if not sorts:
-                yield file.finding(
-                    "R014",
-                    node,
-                    f"json.dumps in digest function '{func.name}' must pass "
-                    f"sort_keys=True so dict order cannot leak into keys",
-                )
 
 
 def _frozen_dataclasses(tree: ast.Module) -> tuple[set[str], set[str]]:

@@ -1,9 +1,10 @@
 """Determinism-reachability rule pack (``R050``–``R053``, project scope).
 
-The per-file determinism pack (R010–R015) flags hazardous constructs
-*wherever they occur*; it cannot say whether a given ``random.random()``
-actually matters.  This pack adds the missing judgement: it walks the
-project call graph (:mod:`repro.analysis.callgraph`) from the
+The per-file determinism pack (R010/R011) flags nondeterministic calls
+and environment reads *wherever they occur*; it cannot say whether a
+given ``random.random()`` actually matters.  This pack adds the missing
+judgement, and is the only check for order-unstable cache keys: it walks
+the project call graph (:mod:`repro.analysis.callgraph`) from the
 **determinism roots** — the functions whose output must be bit-identical
 across processes and reruns — and flags hazards that are *transitively
 reachable* from them, each finding carrying a witness call chain.
@@ -11,13 +12,13 @@ reachable* from them, each finding carrying a witness call chain.
 Roots
 -----
 * **cache-key constructors** — functions whose names mark them as
-  digest/key construction (``model_digest``, ``plan_cache_key``, …; the
-  same naming contract R013/R014 use);
+  digest/key construction (``model_digest``, ``plan_cache_key``, …);
 * **``plan_cached``** — the manager entry point whose results are
   persisted under those keys;
 * **pool-worker entry points** — functions submitted to a process pool
   or installed as its ``initializer=`` (they run in worker processes
-  whose outputs feed the shared cache);
+  whose outputs feed the shared cache; these are the process-isolated
+  roots of :mod:`repro.analysis.threadroots`);
 * **serve request handlers** — functions named ``handle_*`` (the
   ``repro serve`` endpoint contract): their responses are served from
   and stored into the shared plan cache, so anything nondeterministic
@@ -32,34 +33,43 @@ Rules
   sometimes intentional, but a reachable one needs an explicit
   ``noqa[R051]`` sign-off *in addition to* the local ``noqa[R011]``.
 * **R052** — unordered set iteration is reachable from the cache-key
-  path in a function R013's name heuristic does not cover.
+  path (the key constructors themselves included).
 * **R053** — ``json.dumps`` without ``sort_keys=True`` is reachable from
-  the cache-key path in a function R014 does not cover.
+  the cache-key path (the key constructors themselves included).
 
 R050/R051 anchor at the hazardous call itself (same line as the
-R010/R011 finding, so one ``noqa`` comment can carry both codes);
-R052/R053 skip digest-named functions, where the per-file rules already
-fire, to avoid duplicate findings.
+R010/R011 finding, so one ``noqa`` comment can carry both codes).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .callgraph import CallGraph, _alias_map, _Resolver, module_name
+from .callgraph import CallGraph
 from .determinism_rules import (
-    _DIGEST_CONTEXT,
     _ENV_READ_CALLS,
     _NondeterminismVisitor,
-    _POOL_CONSTRUCTORS,
-    _is_set_expr,
     import_map,
     resolve_call_target,
 )
 from .findings import Finding
 from .rules import Project, rule
+from .threadroots import threads_for
+
+#: Function names that construct digests / cache keys (the key roots).
+_DIGEST_CONTEXT = re.compile(r"digest|fingerprint|canonical|hash|(?:^|_)key")
+
+
+def _is_set_expr(node: ast.expr) -> bool:
+    """Whether an expression evidently evaluates to a set/frozenset."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("set", "frozenset")
+    return False
 
 
 @dataclass(frozen=True)
@@ -132,23 +142,11 @@ def _function_sources(
     return sources
 
 
-def _is_pool_ctor(value: ast.expr, aliases: dict[str, str]) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    target = resolve_call_target(value.func, aliases)
-    return target in _POOL_CONSTRUCTORS if target else False
-
-
 class ReachAnalysis:
     """Shared reachability state for the R050–R053 checkers."""
 
     def __init__(self, project: Project, graph: CallGraph) -> None:
         self.graph = graph
-        module_aliases = {
-            module_name(f.relpath): _alias_map(f, module_name(f.relpath))
-            for f in project.files
-        }
-        resolver = _Resolver(graph=graph, module_aliases=module_aliases)
 
         #: qualname → hazard sources inside that function's own body.
         self.sources: dict[str, list[_Source]] = {}
@@ -167,7 +165,11 @@ class ReachAnalysis:
             for qualname, info in graph.functions.items()
             if info.name == "plan_cached"
         }
-        self.worker_roots = self._collect_worker_roots(project, resolver)
+        self.worker_roots = {
+            qualname
+            for qualname, root in threads_for(project).roots.items()
+            if root.isolated
+        }
         self.serve_roots = {
             qualname
             for qualname, info in graph.functions.items()
@@ -184,63 +186,6 @@ class ReachAnalysis:
         self.reach_all = graph.reachable_from(all_roots)
         #: reached qualname → witness chain, from the cache-key path only.
         self.reach_keys = graph.reachable_from(self.key_roots | self.cache_roots)
-
-    def _collect_worker_roots(
-        self, project: Project, resolver: _Resolver
-    ) -> set[str]:
-        """Functions handed to process pools (submit/map/initializer)."""
-        roots: set[str] = set()
-        for file in project.files:
-            module = module_name(file.relpath)
-            aliases = _alias_map(file, module)
-
-            def resolve_ref(expr: ast.expr) -> str | None:
-                if isinstance(expr, ast.Name):
-                    for candidate in (
-                        aliases.get(expr.id, expr.id),
-                        f"{module}.{expr.id}",
-                    ):
-                        resolved = resolver.resolve(candidate)
-                        if resolved is not None:
-                            return resolved
-                    return None
-                dotted = resolve_call_target(expr, aliases)
-                return resolver.resolve(dotted) if dotted else None
-
-            pool_names: set[str] = set()
-            for node in ast.walk(file.tree):
-                if isinstance(node, ast.Assign) and _is_pool_ctor(
-                    node.value, aliases
-                ):
-                    pool_names.update(
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    )
-                elif isinstance(node, ast.With):
-                    for item in node.items:
-                        if _is_pool_ctor(item.context_expr, aliases) and isinstance(
-                            item.optional_vars, ast.Name
-                        ):
-                            pool_names.add(item.optional_vars.id)
-            for node in ast.walk(file.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                if _is_pool_ctor(node, aliases):
-                    for kw in node.keywords:
-                        if kw.arg == "initializer":
-                            resolved = resolve_ref(kw.value)
-                            if resolved is not None:
-                                roots.add(resolved)
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("submit", "map")
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in pool_names
-                    and node.args
-                ):
-                    resolved = resolve_ref(node.args[0])
-                    if resolved is not None:
-                        roots.add(resolved)
-        return roots
 
 
 def reach_for(project: Project) -> ReachAnalysis:
@@ -265,14 +210,10 @@ def _emit(
     kind: str,
     code: str,
     describe: str,
-    *,
-    skip_digest_named: bool = False,
 ) -> Iterator[Finding]:
     """Findings for every ``kind`` source inside the reached set."""
     for qualname in sorted(reached):
         info = reach.graph.functions[qualname]
-        if skip_digest_named and _DIGEST_CONTEXT.search(info.name.lower()):
-            continue  # the per-file R013/R014 already fire here
         chain = reached[qualname]
         for source in reach.sources.get(qualname, ()):
             if source.kind != kind:
@@ -325,7 +266,6 @@ def check_reachable_set_iteration(project: Project) -> Iterator[Finding]:
         "R052",
         "set order varies with PYTHONHASHSEED, so the serialized key "
         "diverges between worker processes",
-        skip_digest_named=True,
     )
 
 
@@ -339,5 +279,4 @@ def check_reachable_unsorted_json(project: Project) -> Iterator[Finding]:
         "json",
         "R053",
         "dict order leaks into the serialized key; pass sort_keys=True",
-        skip_digest_named=True,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .codes import RULE_PACKS, RULE_TITLES
+from .codes import RULE_TITLES
 from .findings import Finding, severity_of
 from .suppressions import Suppression, parse_suppressions
 
@@ -56,7 +56,7 @@ class SourceFile:
         """Build a finding anchored to an AST node (or raw line number).
 
         The anchored source line rides along as the finding's snippet,
-        which is what the content-addressed baseline fingerprint hashes
+        which is what the content-addressed SARIF fingerprint hashes
         (so findings survive edits that merely move them).
         """
         line = node if isinstance(node, int) else getattr(node, "lineno", 0)
@@ -99,7 +99,7 @@ class Project:
 
         When ``relpath`` names an analyzed source file, the anchored
         line's text rides along as the finding's snippet (the basis of
-        the content-addressed baseline fingerprint).
+        the content-addressed SARIF fingerprint).
         """
         snippet = ""
         for file in self.files:
@@ -150,11 +150,6 @@ class Rule:
     def title(self) -> str:
         """Catalog title of the rule's code."""
         return RULE_TITLES[self.code]
-
-    @property
-    def pack(self) -> str:
-        """Catalog pack of the rule's code."""
-        return RULE_PACKS[self.code]
 
 
 @dataclass

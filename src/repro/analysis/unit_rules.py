@@ -1,4 +1,4 @@
-"""Unit-safety rule pack (``R001``–``R004``).
+"""Unit-safety rule pack (``R002``–``R004``).
 
 The paper's GLB accounting (Eqs. 1–2, Table 2) mixes three unit systems:
 tensor *elements* (tile sizes, budgets), *bytes* (GLB capacity, traffic)
@@ -6,12 +6,14 @@ and *bits* (data width), plus *cycles* on the latency side.  The library
 convention is suffix-typed names (``glb_bytes``, ``ifmap_elems``,
 ``data_width_bits``, ``latency_cycles``) with all conversions funneled
 through :mod:`repro.arch.units` and ``AcceleratorSpec.bytes_per_elem``.
-These rules make the convention checkable: arithmetic that mixes
-suffix-units, bare ``* 2`` double-buffer factors, float creep into
-integer-unit assignments, and raw ``8``/``1024`` conversion factors are
-flagged at the AST level.
+These rules make the convention checkable: bare ``* 2`` double-buffer
+factors, float creep into integer-unit assignments, and raw
+``8``/``1024`` conversion factors are flagged at the AST level.  Unit
+mixes in arithmetic are the unit-flow pack's job (``R043`` in
+:mod:`repro.analysis.unitflow`).
 
-Unit inference is deliberately name-based (the repo's suffix convention),
+Unit inference is deliberately name-based: names read their unit through
+the same suffix table as the unit-flow pack (:func:`.unitflow.name_unit`),
 so the rules are heuristics — precise enough to gate CI because the
 codebase follows the convention everywhere.
 """
@@ -24,21 +26,8 @@ from typing import Iterator
 
 from .findings import Finding
 from .rules import SourceFile, rule
+from .unitflow import CAST_SIGNATURES, name_unit
 
-#: name suffix → canonical unit.
-_SUFFIX_UNITS: dict[str, str] = {
-    "bytes": "bytes",
-    "byte": "bytes",
-    "bits": "bits",
-    "elems": "elems",
-    "elements": "elems",
-    "cycles": "cycles",
-}
-
-#: Calls whose result is known to be byte-valued (arch.units helpers).
-_BYTE_VALUED_CALLS = frozenset({"kib", "mib"})
-
-_RATE_MARKER = re.compile(r"_per_")
 _FOOTPRINT_NAME = re.compile(r"tile|footprint|resid|memory|buffer")
 _CONVERSION_CONSTANTS = frozenset({8, 1024, 1024 * 1024})
 _UNITISH_NAME = re.compile(r"byte|bit|elem|kib|mib|size|capacity|glb")
@@ -57,26 +46,15 @@ def _terminal_name(node: ast.expr) -> str | None:
 
 
 def unit_of(node: ast.expr) -> str | None:
-    """Infer the unit a (sub)expression carries from the naming convention.
+    """The unit a name or unit-cast call carries, if any.
 
-    Returns one of ``"bytes"``/``"bits"``/``"elems"``/``"cycles"`` or
-    ``None`` when no unit can be inferred.  Rates (``…_per_cycle``) are
-    deliberately unitless here: dividing bytes by bytes-per-cycle is
-    legitimate mixed arithmetic.
+    Names read :func:`~repro.analysis.unitflow.name_unit`; a call to a
+    unit-cast helper (``kib(4)``) carries the helper's output unit.
     """
     if isinstance(node, ast.Call):
-        name = _terminal_name(node.func)
-        if name in _BYTE_VALUED_CALLS:
-            return "bytes"
-        return None
-    name = _terminal_name(node)
-    if name is None or _RATE_MARKER.search(name):
-        return None
-    lowered = name.lower()
-    for suffix, unit in _SUFFIX_UNITS.items():
-        if lowered == suffix or lowered.endswith("_" + suffix):
-            return unit
-    return None
+        cast = CAST_SIGNATURES.get(_terminal_name(node.func) or "")
+        return cast[1] if cast is not None else None
+    return name_unit(_terminal_name(node))
 
 
 def _src(node: ast.expr) -> str:
@@ -107,48 +85,6 @@ class _FunctionStackVisitor(ast.NodeVisitor):
     def in_function_matching(self, pattern: re.Pattern[str]) -> bool:
         """Whether any enclosing function name matches ``pattern``."""
         return any(pattern.search(name) for name in self.stack)
-
-
-class _UnitMixVisitor(_FunctionStackVisitor):
-    """R001: additive/comparison arithmetic across different units."""
-
-    def __init__(self, file: SourceFile) -> None:
-        super().__init__()
-        self.file = file
-
-    def _check_pair(self, node: ast.AST, left: ast.expr, right: ast.expr) -> None:
-        lu, ru = unit_of(left), unit_of(right)
-        if lu is not None and ru is not None and lu != ru:
-            self.findings.append(
-                self.file.finding(
-                    "R001",
-                    node,
-                    f"mixes {lu} ({_src(left)}) with {ru} ({_src(right)}); "
-                    f"convert through repro.arch.units first",
-                )
-            )
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        """Flag ``+``/``-`` across units (multiplicative ops are rates)."""
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_pair(node, node.left, node.right)
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        """Flag ordering comparisons across units."""
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                self._check_pair(node, left, right)
-        self.generic_visit(node)
-
-
-@rule("R001")
-def check_unit_mix(file: SourceFile) -> Iterator[Finding]:
-    """Flag additive arithmetic/comparisons mixing suffix-typed units."""
-    visitor = _UnitMixVisitor(file)
-    visitor.visit(file.tree)
-    yield from visitor.findings
 
 
 _PREFETCH_CONTEXT = re.compile(r"prefetch|double_buffer")

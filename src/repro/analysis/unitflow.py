@@ -1,10 +1,11 @@
 """Interprocedural unit-flow rule pack (``R040``–``R044``, project scope).
 
-The per-file unit pack (R001–R004) sees only suffix-typed *names*; a
-``_bytes`` value returned into an ``_elems`` parameter two modules away
-is invisible to it.  This pack closes that hole with a small abstract
-interpretation over the project call graph
-(:mod:`repro.analysis.callgraph`):
+Suffix-typed *names* alone cannot show a ``_bytes`` value returned into
+an ``_elems`` parameter two modules away.  This pack sees it through a
+small abstract interpretation over the project call graph
+(:mod:`repro.analysis.callgraph`); :func:`name_unit` is the one
+suffix→unit table of the analyzer, which the per-file unit-safety pack
+(R002–R004) reads too:
 
 Unit lattice
 ------------
@@ -37,8 +38,9 @@ to a fixpoint over the call graph, then five checks run:
   expression infers a different one;
 * **R042** — an assignment binding a unit-suffixed name to a value of a
   different inferred unit;
-* **R043** — additive/comparison unit mixes that only interprocedural
-  inference can see (the R001 extension);
+* **R043** — additive/comparison unit mixes, whether the suffixes alone
+  show them or only interprocedural inference does, in function bodies,
+  lambdas, class bodies and module-level code;
 * **R044** — a sanctioned cast applied to the wrong input unit
   (``to_kib(n_elems)``, ``kib(x_bytes)``).
 """
@@ -51,8 +53,7 @@ from typing import Iterator
 
 from .callgraph import CallGraph, FunctionInfo
 from .findings import Finding
-from .rules import Project, rule
-from .unit_rules import unit_of as suffix_unit_of
+from .rules import Project, SourceFile, rule
 
 #: Plain units of the lattice (rates are ``"rate:<num>/<den>"`` strings).
 PLAIN_UNITS = ("bytes", "bits", "elems", "kib", "cycles", "pj", "seconds")
@@ -408,16 +409,19 @@ def unitflow_for(project: Project) -> UnitFlow:
     return cached
 
 
-def _walk_no_defs(node: ast.AST) -> Iterator[ast.AST]:
-    """Like :func:`ast.walk` but without descending into nested defs."""
+def _walk_no_defs(node: ast.AST, *, lambdas: bool = False) -> Iterator[ast.AST]:
+    """Like :func:`ast.walk` but without descending into nested defs.
+
+    ``lambdas=True`` descends into lambda bodies, which have no
+    call-graph identity of their own.
+    """
     stack: list[ast.AST] = [node]
     while stack:
         current = stack.pop()
         yield current
         if isinstance(
-            current,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
+            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) or (isinstance(current, ast.Lambda) and not lambdas):
             continue
         stack.extend(ast.iter_child_nodes(current))
 
@@ -568,45 +572,63 @@ def check_assignment_units(project: Project) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 
 
+def _unit_mixes(
+    flow: UnitFlow, scope: ast.AST, env: dict[str, str | None]
+) -> Iterator[tuple[ast.AST, str]]:
+    """Additive/ordering operand pairs of one scope with different units.
+
+    ``scope`` is a function, class or module node.  Its own statements
+    are bound into ``env`` first, so each pair is inferred under the
+    scope's final environment; yields ``(anchor, message)``.
+    """
+    for stmt in _own_statements(scope):
+        flow._bind_stmt(stmt, env)
+    for stmt in getattr(scope, "body", []):
+        for node in _walk_no_defs(stmt, lambdas=True):
+            pairs: list[tuple[ast.expr, ast.expr]] = []
+            if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.Add, ast.Sub)
+            ):
+                pairs.append((node.left, node.right))
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                pairs.extend(
+                    (left, right)
+                    for op, left, right in zip(node.ops, operands, operands[1:])
+                    if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                )
+            for left, right in pairs:
+                lu, ru = flow.infer(left, env), flow.infer(right, env)
+                if is_plain(lu) and is_plain(ru) and lu != ru:
+                    yield node, (
+                        f"mixes {lu} ({_src(left)}) with {ru} ({_src(right)}); "
+                        f"convert through repro.arch.units first"
+                    )
+
+
+def _classes(scope: ast.AST) -> Iterator[ast.ClassDef]:
+    """Classes defined outside any function body, nested ones included."""
+    for stmt in _own_statements(scope):
+        if isinstance(stmt, ast.ClassDef):
+            yield stmt
+            yield from _classes(stmt)
+
+
 @rule("R043", scope="project")
 def check_interproc_unit_mix(project: Project) -> Iterator[Finding]:
-    """Flag unit mixes only visible through interprocedural inference."""
+    """Flag additive arithmetic/comparisons mixing units, at any scope."""
     flow = unitflow_for(project)
-    for _qualname, info in sorted(flow.graph.functions.items()):
-        if _is_cast(info):
-            continue
-        env = flow._initial_env(info)
-        binops: list[tuple[ast.expr, ast.expr, ast.AST]] = []
-        for stmt in _own_statements(info.node):
-            flow._bind_stmt(stmt, env)
-            for node in _walk_no_defs(stmt):
-                if isinstance(node, ast.BinOp) and isinstance(
-                    node.op, (ast.Add, ast.Sub)
-                ):
-                    binops.append((node.left, node.right, node))
-                elif isinstance(node, ast.Compare):
-                    operands = [node.left, *node.comparators]
-                    for op, left, right in zip(
-                        node.ops, operands, operands[1:]
-                    ):
-                        if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                            binops.append((left, right, node))
-        for left, right, anchor in binops:
-            lu, ru = flow.infer(left, env), flow.infer(right, env)
-            if not (is_plain(lu) and is_plain(ru)) or lu == ru:
-                continue
-            # R001's suffix-only view already fires on these; skip them.
-            sl, sr = suffix_unit_of(left), suffix_unit_of(right)
-            if sl is not None and sr is not None and sl != sr:
-                continue
-            yield info.file.finding(
-                "R043",
-                anchor,
-                f"mixes {_describe(lu)} ({_src(left)}) with "
-                f"{_describe(ru)} ({_src(right)}) through dataflow the "
-                f"per-file R001 cannot see; convert through "
-                f"repro.arch.units first",
-            )
+    scopes: list[tuple[SourceFile, ast.AST, dict[str, str | None]]] = [
+        (info.file, info.node, flow._initial_env(info))
+        for _qualname, info in sorted(flow.graph.functions.items())
+        if not _is_cast(info)
+    ]
+    for file in project.files:
+        scopes.append((file, file.tree, {}))
+        scopes.extend((file, cls, {}) for cls in _classes(file.tree))
+    for file, scope, env in scopes:
+        for anchor, message in _unit_mixes(flow, scope, env):
+            yield file.finding("R043", anchor, message)
 
 
 # ----------------------------------------------------------------------

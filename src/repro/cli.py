@@ -450,13 +450,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .analysis import (
-        RULE_TITLES,
-        analyze_paths,
-        describe_rule,
-        load_baseline,
-        write_baseline,
-    )
+    from .analysis import RULE_TITLES, analyze_paths, describe_rule
     from .report.diagnostics import lint_payload
 
     if args.list_codes:
@@ -466,37 +460,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(table.render())
         return 0
 
-    paths = args.paths or ["src/repro"]
-    baseline = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: baseline file not found: {args.baseline}", file=sys.stderr)
-            return 2
-        baseline = load_baseline(baseline_path)
-    packs = None
-    if args.packs:
-        packs = [name.strip() for name in args.packs.split(",") if name.strip()]
     try:
-        report = analyze_paths(
-            paths,
-            baseline=baseline,
-            use_baseline=not args.no_baseline,
-            packs=packs,
-            changed_files=args.changed_files,
-        )
+        report = analyze_paths(args.paths or ["src/repro"])
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        out = Path(args.write_baseline)
-        write_baseline(out, report.active)
-        print(f"baseline with {len(report.active)} finding(s) written to {out}")
-        return 0
 
     if args.format == "json":
         print(json.dumps(lint_payload(report), indent=2, sort_keys=True))
@@ -883,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["text", "json"],
         default="text",
-        help="output format (json uses the shared repro-diagnostics/1 schema)",
+        help="output format (json uses the shared repro-diagnostics/2 schema)",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -898,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json", "sarif"],
         default="text",
         help=(
-            "output format (json uses the shared repro-diagnostics/1 "
+            "output format (json uses the shared repro-diagnostics/2 "
             "schema; sarif emits SARIF 2.1.0 for code-scanning UIs)"
         ),
     )
@@ -913,38 +881,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="fail when analysis wall time exceeds N seconds (the CI budget)",
     )
-    p.add_argument("--baseline", metavar="FILE", help="baseline file to apply")
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the committed lint-baseline.json",
-    )
-    p.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record all active findings as the new baseline and exit",
-    )
     p.add_argument(
         "--show-silenced",
         action="store_true",
-        help="also list suppressed and baselined findings",
-    )
-    p.add_argument(
-        "--packs",
-        metavar="NAMES",
-        help=(
-            "comma-separated rule packs to run (e.g. 'concurrency,range'); "
-            "default: all packs"
-        ),
-    )
-    p.add_argument(
-        "--changed-files",
-        nargs="+",
-        metavar="PATH",
-        help=(
-            "incremental mode: analyze only these files (file-scope rules "
-            "only — the whole-program packs need the full file set)"
-        ),
+        help="also list noqa-suppressed findings",
     )
     p.add_argument("--list-codes", action="store_true", help="print the rule catalog")
     p.set_defaults(func=cmd_lint)

@@ -5,16 +5,16 @@ Both tools emit structured diagnostics — the plan verifier's ``V0xx``
 analyzer's ``R0xx`` :class:`~repro.analysis.findings.Finding` records.
 Downstream tooling (CI annotations, dashboards) should parse *one*
 schema, so this module is the single place that shapes either stream
-into the ``repro-diagnostics/1`` payload::
+into the ``repro-diagnostics/2`` payload::
 
     {
-      "schema": "repro-diagnostics/1",
+      "schema": "repro-diagnostics/2",
       "tool": "lint" | "verify",
       "ok": bool,
       "counts": {"checks": int, "errors": int, "warnings": int, ...},
       "diagnostics": [
         {
-          "code": "R001",            # ^[VR]\\d{3}$
+          "code": "R043",            # ^[VR]\\d{3}$
           "title": "...",
           "severity": "error" | "warning",
           "message": "...",
@@ -22,7 +22,7 @@ into the ``repro-diagnostics/1`` payload::
                         "subject": str|null, "layer": str|null,
                         "policy": str|null},
           "expected": any|null, "actual": any|null,
-          "suppressed": bool, "baselined": bool
+          "suppressed": bool
         }, ...
       ]
     }
@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..verify.diagnostics import VerificationReport
 
 #: Identifier of the shared schema (bump on incompatible changes).
-SCHEMA_ID = "repro-diagnostics/1"
+SCHEMA_ID = "repro-diagnostics/2"
 
 #: Identifier of the telemetry export schema.  Kept as a literal here
 #: (this module imports nothing from the subsystems it validates); a
@@ -81,7 +81,6 @@ _ENTRY_KEYS = (
     "expected",
     "actual",
     "suppressed",
-    "baselined",
 )
 
 
@@ -99,7 +98,6 @@ def diagnostic_entry(
     expected: Any = None,
     actual: Any = None,
     suppressed: bool = False,
-    baselined: bool = False,
 ) -> dict[str, Any]:
     """One schema-shaped diagnostic entry (all keys always present)."""
     return {
@@ -117,7 +115,6 @@ def diagnostic_entry(
         "expected": expected,
         "actual": actual,
         "suppressed": suppressed,
-        "baselined": baselined,
     }
 
 
@@ -127,7 +124,7 @@ def make_payload(
     counts: dict[str, int],
     diagnostics: Iterable[dict[str, Any]],
 ) -> dict[str, Any]:
-    """Assemble the full ``repro-diagnostics/1`` payload."""
+    """Assemble the full ``repro-diagnostics/2`` payload."""
     return {
         "schema": SCHEMA_ID,
         "tool": tool,
@@ -148,7 +145,6 @@ def lint_payload(report: "AnalysisReport") -> dict[str, Any]:
             file=f.path,
             line=f.line or None,
             suppressed=f.suppressed,
-            baselined=f.baselined,
         )
         for f in sorted(report.findings, key=lambda f: (f.path, f.line, f.code))
     ]
@@ -233,9 +229,8 @@ def validate_payload(payload: Any) -> list[str]:
             line = location.get("line")
             if line is not None and not isinstance(line, int):
                 problems.append(f"{where}.location.line must be int or null")
-        for key in ("suppressed", "baselined"):
-            if not isinstance(entry[key], bool):
-                problems.append(f"{where}.{key} must be a boolean")
+        if not isinstance(entry["suppressed"], bool):
+            problems.append(f"{where}.suppressed must be a boolean")
     return problems
 
 

@@ -6,7 +6,7 @@ layer.  The package splits into five modules:
 
 * :mod:`~repro.serve.protocol` — the ``repro-serve/1`` JSON request/
   response envelope (schema-validated in
-  :mod:`repro.report.diagnostics`, same style as ``repro-diagnostics/1``).
+  :mod:`repro.report.diagnostics`, same style as ``repro-diagnostics/2``).
 * :mod:`~repro.serve.handlers` — pure endpoint handlers
   (``handle_plan``, ``handle_explain``, …) mapping validated request
   parameters to response payloads; they are determinism roots for the

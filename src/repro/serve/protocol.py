@@ -19,7 +19,7 @@ sees a traceback.
 
 :func:`repro.report.diagnostics.validate_serve_payload` is the
 envelope's executable schema definition, in the same style as
-``repro-diagnostics/1`` and ``repro-telemetry/1``; a regression test
+``repro-diagnostics/2`` and ``repro-telemetry/1``; a regression test
 pins the two schema-id literals together.
 
 :func:`canonical_json` renders payloads with sorted keys and fixed

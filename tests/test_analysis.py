@@ -1,9 +1,10 @@
 """Tests for the domain static analyzer (``repro lint``, R0xx codes).
 
-Covers: one firing and one clean fixture per rule, inline suppressions,
-the baseline mechanism, the shared lint/verify JSON schema, the CLI exit
-codes (including a deliberately seeded bug from each rule pack), and the
-self-check that the repository's own sources lint clean.
+Covers: one firing and one clean fixture per rule, the fixtures of the
+retired codes under their successor rules, inline suppressions, the
+shared lint/verify JSON schema, the CLI exit codes (including a
+deliberately seeded bug from each rule pack), and the self-check that
+the repository's own sources lint clean.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ import pytest
 
 from repro.analysis import (
     ALL_RULE_CODES,
-    RULE_PACKS,
     RULE_TITLES,
     WARNING_CODES,
     Finding,
     analyze_paths,
     analyze_source,
-    load_baseline,
     parse_suppressions,
     severity_of,
-    write_baseline,
 )
 from repro.cli import main
 from repro.report.diagnostics import SCHEMA_ID, validate_payload
@@ -55,10 +53,11 @@ def mini_project(tmp_path: Path, files: dict[str, str]) -> Path:
 
 def test_catalog_is_consistent() -> None:
     assert ALL_RULE_CODES == tuple(sorted(RULE_TITLES))
-    assert set(RULE_PACKS) == set(RULE_TITLES)
     assert WARNING_CODES <= set(RULE_TITLES)
     assert severity_of("R004") is Severity.WARNING
-    assert severity_of("R001") is Severity.ERROR
+    assert severity_of("R043") is Severity.ERROR
+    # retired into R043/R052/R053; codes are never reused
+    assert not {"R001", "R013", "R014"} & set(RULE_TITLES)
 
 
 def test_unknown_code_rejected() -> None:
@@ -88,26 +87,8 @@ def test_r000_clean_on_valid_source() -> None:
 
 
 # ----------------------------------------------------------------------
-# Unit-safety pack (R001-R004)
+# Unit-safety pack (R002-R004)
 # ----------------------------------------------------------------------
-
-
-def test_r001_fires_on_byte_element_addition() -> None:
-    src = "def fits(ifmap_bytes: int, halo_elems: int) -> int:\n"
-    src += "    return ifmap_bytes + halo_elems\n"
-    assert "R001" in active_codes(analyze_source(src))
-
-
-def test_r001_fires_on_cross_unit_comparison() -> None:
-    src = "def over(tile_elems: int, glb_bytes: int) -> bool:\n"
-    src += "    return tile_elems > glb_bytes\n"
-    assert "R001" in active_codes(analyze_source(src))
-
-
-def test_r001_clean_on_same_unit_math() -> None:
-    src = "def total(ifmap_bytes: int, filter_bytes: int) -> int:\n"
-    src += "    return ifmap_bytes + filter_bytes\n"
-    assert "R001" not in active_codes(analyze_source(src))
 
 
 def test_r002_fires_on_bare_doubling() -> None:
@@ -213,49 +194,6 @@ def test_r012_clean_on_module_level_worker() -> None:
     assert "R012" not in active_codes(analyze_source(src))
 
 
-def test_r013_fires_on_set_iteration_in_key() -> None:
-    src = (
-        "def make_key(parts: list[str]) -> str:\n"
-        "    return ''.join(p for p in set(parts))\n"
-    )
-    assert "R013" in active_codes(analyze_source(src))
-
-
-def test_r013_clean_when_sorted() -> None:
-    src = (
-        "def make_key(parts: list[str]) -> str:\n"
-        "    return ''.join(p for p in sorted(set(parts)))\n"
-    )
-    assert "R013" not in active_codes(analyze_source(src))
-
-
-def test_r014_fires_on_unsorted_dumps_in_digest() -> None:
-    src = (
-        "import json\n\n"
-        "def model_digest(payload: dict) -> str:\n"
-        "    return json.dumps(payload)\n"
-    )
-    assert "R014" in active_codes(analyze_source(src))
-
-
-def test_r014_clean_with_sort_keys() -> None:
-    src = (
-        "import json\n\n"
-        "def model_digest(payload: dict) -> str:\n"
-        "    return json.dumps(payload, sort_keys=True)\n"
-    )
-    assert "R014" not in active_codes(analyze_source(src))
-
-
-def test_r014_clean_outside_digest_context() -> None:
-    src = (
-        "import json\n\n"
-        "def pretty(payload: dict) -> str:\n"
-        "    return json.dumps(payload)\n"
-    )
-    assert "R014" not in active_codes(analyze_source(src))
-
-
 def test_r015_fires_on_module_level_dict() -> None:
     assert "R015" in active_codes(analyze_source("cache = {}\n"))
 
@@ -263,6 +201,98 @@ def test_r015_fires_on_module_level_dict() -> None:
 def test_r015_clean_on_constants_and_dunders() -> None:
     src = "LIMITS = {}\n__all__ = ['LIMITS']\n"
     assert "R015" not in active_codes(analyze_source(src))
+
+
+# ----------------------------------------------------------------------
+# Retired codes: R001 -> R043, R013 -> R052, R014 -> R053.  Each fixture
+# of a retired per-file rule keeps its test and its verdict under the
+# whole-program rule that replaced it.
+# ----------------------------------------------------------------------
+
+
+def project_codes(tmp_path: Path, source: str) -> set[str]:
+    """Active codes of a one-module project holding ``source``."""
+    root = mini_project(tmp_path, {"pkg/mod.py": source})
+    return active_codes(analyze_paths([root], root=root))
+
+
+def test_r001_fires_on_byte_element_addition(tmp_path: Path) -> None:
+    src = "def fits(ifmap_bytes: int, halo_elems: int) -> int:\n"
+    src += "    return ifmap_bytes + halo_elems\n"
+    assert "R043" in project_codes(tmp_path, src)
+
+
+def test_r001_fires_on_cross_unit_comparison(tmp_path: Path) -> None:
+    src = "def over(tile_elems: int, glb_bytes: int) -> bool:\n"
+    src += "    return tile_elems > glb_bytes\n"
+    assert "R043" in project_codes(tmp_path, src)
+
+
+def test_r001_clean_on_same_unit_math(tmp_path: Path) -> None:
+    src = "def total(ifmap_bytes: int, filter_bytes: int) -> int:\n"
+    src += "    return ifmap_bytes + filter_bytes\n"
+    assert "R043" not in project_codes(tmp_path, src)
+
+
+def test_r043_fires_on_module_level_mix(tmp_path: Path) -> None:
+    """Module-level arithmetic has no enclosing function to walk."""
+    src = "a_bytes = 4\nb_elems = 2\ntotal = a_bytes + b_elems\n"
+    assert "R043" in project_codes(tmp_path, src)
+
+
+def test_r043_fires_in_class_body_and_lambda(tmp_path: Path) -> None:
+    src = (
+        "class Budget:\n"
+        "    size = glb_bytes - halo_elems\n"
+        "def fits():\n"
+        "    return lambda a_bytes, b_elems: a_bytes < b_elems\n"
+    )
+    root = mini_project(tmp_path, {"pkg/mod.py": src})
+    lines = {f.line for f in analyze_paths([root], root=root) if f.code == "R043"}
+    assert lines == {2, 4}
+
+
+def test_r013_fires_on_set_iteration_in_key(tmp_path: Path) -> None:
+    src = (
+        "def make_key(parts: list[str]) -> str:\n"
+        "    return ''.join(p for p in set(parts))\n"
+    )
+    assert "R052" in project_codes(tmp_path, src)
+
+
+def test_r013_clean_when_sorted(tmp_path: Path) -> None:
+    src = (
+        "def make_key(parts: list[str]) -> str:\n"
+        "    return ''.join(p for p in sorted(set(parts)))\n"
+    )
+    assert "R052" not in project_codes(tmp_path, src)
+
+
+def test_r014_fires_on_unsorted_dumps_in_digest(tmp_path: Path) -> None:
+    src = (
+        "import json\n\n"
+        "def model_digest(payload: dict) -> str:\n"
+        "    return json.dumps(payload)\n"
+    )
+    assert "R053" in project_codes(tmp_path, src)
+
+
+def test_r014_clean_with_sort_keys(tmp_path: Path) -> None:
+    src = (
+        "import json\n\n"
+        "def model_digest(payload: dict) -> str:\n"
+        "    return json.dumps(payload, sort_keys=True)\n"
+    )
+    assert "R053" not in project_codes(tmp_path, src)
+
+
+def test_r014_clean_outside_digest_context(tmp_path: Path) -> None:
+    src = (
+        "import json\n\n"
+        "def pretty(payload: dict) -> str:\n"
+        "    return json.dumps(payload)\n"
+    )
+    assert "R053" not in project_codes(tmp_path, src)
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +320,7 @@ def test_r020_fires_on_undescribed_unraised_code(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     messages = [f.message for f in report.active if f.code == "R020"]
     assert any("no description" in m for m in messages)
     assert any("never raised" in m for m in messages)
@@ -299,7 +329,7 @@ def test_r020_fires_on_undescribed_unraised_code(tmp_path: Path) -> None:
 
 def test_r020_clean_on_consistent_catalog(tmp_path: Path) -> None:
     root = mini_project(tmp_path, CLEAN_CATALOG)
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R020" not in active_codes(report)
 
 
@@ -315,7 +345,7 @@ def test_r021_fires_on_unregistered_policy(tmp_path: Path) -> None:
             "policies/registry.py": "REGISTERED = ()\n",
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r021 = [f for f in report.active if f.code == "R021"]
     assert len(r021) == 1 and "ShinyPolicy" in r021[0].message
 
@@ -334,7 +364,7 @@ def test_r021_clean_when_registered(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R021" not in active_codes(report)
 
 
@@ -349,7 +379,7 @@ def test_r022_fires_on_undocumented_artifact(tmp_path: Path) -> None:
             "EXPERIMENTS.md": "only `fig1` is described here\n",
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r022 = [f for f in report.active if f.code == "R022"]
     assert len(r022) == 1 and "fig2" in r022[0].message
 
@@ -365,7 +395,7 @@ def test_r022_clean_when_indexed(tmp_path: Path) -> None:
             "EXPERIMENTS.md": "ids: `fig1`, `fig2`\n",
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R022" not in active_codes(report)
 
 
@@ -377,14 +407,14 @@ def test_r023_fires_on_stale_code_reference(tmp_path: Path) -> None:
             "verify/stale.py": 'def check() -> str:\n    return "V999"\n',
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r023 = [f for f in report.active if f.code == "R023"]
     assert len(r023) == 1 and "V999" in r023[0].message
 
 
 def test_r023_clean_on_known_references(tmp_path: Path) -> None:
     root = mini_project(tmp_path, CLEAN_CATALOG)
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R023" not in active_codes(report)
 
 
@@ -447,70 +477,34 @@ def test_r031_clean_on_suffixed_names_and_variables() -> None:
 
 
 # ----------------------------------------------------------------------
-# Suppressions and baseline
+# Suppressions
 # ----------------------------------------------------------------------
 
 
 def test_noqa_suppresses_matching_code() -> None:
     src = (
-        "def fits(a_bytes: int, b_elems: int) -> int:\n"
-        "    return a_bytes + b_elems  # repro: noqa[R001] -- reviewed\n"
+        "def residency(tile_bytes: int) -> int:\n"
+        "    return tile_bytes * 2  # repro: noqa[R002] -- reviewed\n"
     )
     findings = analyze_source(src)
-    (finding,) = [f for f in findings if f.code == "R001"]
+    (finding,) = [f for f in findings if f.code == "R002"]
     assert finding.suppressed and not finding.active
 
 
 def test_noqa_does_not_suppress_other_codes() -> None:
     src = (
-        "def fits(a_bytes: int, b_elems: int) -> int:\n"
-        "    return a_bytes + b_elems  # repro: noqa[R002] -- wrong code\n"
+        "def residency(tile_bytes: int) -> int:\n"
+        "    return tile_bytes * 2  # repro: noqa[R003] -- wrong code\n"
     )
-    assert "R001" in active_codes(analyze_source(src))
+    assert "R002" in active_codes(analyze_source(src))
 
 
 def test_parse_suppressions_captures_codes_and_reason() -> None:
-    src = "x = 1  # repro: noqa[R001, R015] -- both intentional\n"
+    src = "x = 1  # repro: noqa[R043, R015] -- both intentional\n"
     (supp,) = parse_suppressions(src)
     assert supp.line == 1
-    assert set(supp.codes) == {"R001", "R015"}
+    assert set(supp.codes) == {"R043", "R015"}
     assert supp.reason == "both intentional"
-
-
-def test_baseline_round_trip(tmp_path: Path) -> None:
-    finding = Finding(code="R015", path="pkg/mod.py", line=3, message="state")
-    path = tmp_path / "baseline.json"
-    assert write_baseline(path, [finding]) == 1
-    baseline = load_baseline(path)
-    assert baseline.covers(finding)
-    moved = Finding(code="R015", path="pkg/mod.py", line=99, message="state")
-    assert baseline.covers(moved)  # line-independent
-    other = Finding(code="R015", path="pkg/other.py", line=3, message="state")
-    assert not baseline.covers(other)
-
-
-def test_missing_baseline_is_empty(tmp_path: Path) -> None:
-    baseline = load_baseline(tmp_path / "nope.json")
-    assert len(baseline) == 0
-
-
-def test_baselined_findings_do_not_gate(tmp_path: Path) -> None:
-    root = mini_project(tmp_path, {"pkg/state.py": "cache = {}\n"})
-    report = analyze_paths([root], root=root, use_baseline=False)
-    assert "R015" in active_codes(report)
-    baseline_path = root / "baseline.json"
-    write_baseline(baseline_path, report.active)
-    rebaselined = analyze_paths(
-        [root], root=root, baseline=load_baseline(baseline_path)
-    )
-    assert rebaselined.ok(strict=True)
-    assert [f.code for f in rebaselined.baselined] == ["R015"]
-
-
-def test_committed_baseline_is_empty() -> None:
-    """Repo policy: the tree ships lint-clean, the baseline stays empty."""
-    raw = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-    assert raw == {"schema": 2, "entries": []}
 
 
 # ----------------------------------------------------------------------
@@ -519,9 +513,7 @@ def test_committed_baseline_is_empty() -> None:
 
 
 def test_repo_sources_lint_clean() -> None:
-    report = analyze_paths(
-        [REPO_ROOT / "src" / "repro"], root=REPO_ROOT, use_baseline=False
-    )
+    report = analyze_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
     assert report.files > 100 and report.checks > report.files
     offenders = "\n".join(f.render() for f in report.active)
     assert report.ok(strict=True), f"unsuppressed findings:\n{offenders}"
@@ -563,8 +555,8 @@ def test_cli_seeded_unit_bug_fails(
             )
         },
     )
-    assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
-    assert "R001" in capsys.readouterr().out
+    assert main(["lint", str(root), "--strict"]) == 1
+    assert "R043" in capsys.readouterr().out
 
 
 def test_cli_seeded_determinism_bug_fails(
@@ -579,7 +571,7 @@ def test_cli_seeded_determinism_bug_fails(
             )
         },
     )
-    assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
+    assert main(["lint", str(root), "--strict"]) == 1
     assert "R010" in capsys.readouterr().out
 
 
@@ -597,7 +589,7 @@ def test_cli_seeded_registry_bug_fails(
             "policies/registry.py": "REGISTERED = ()\n",
         },
     )
-    assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
+    assert main(["lint", str(root), "--strict"]) == 1
     assert "R021" in capsys.readouterr().out
 
 
@@ -608,21 +600,8 @@ def test_cli_warnings_gate_only_under_strict(
         tmp_path,
         {"pkg/conv.py": "def f(glb_bytes: int) -> float:\n    return glb_bytes / 1024\n"},
     )
-    assert main(["lint", str(root), "--no-baseline"]) == 0
-    assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
-    capsys.readouterr()
-
-
-def test_cli_write_baseline_then_clean(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
-) -> None:
-    root = mini_project(tmp_path, {"pkg/state.py": "cache = {}\n"})
-    baseline = tmp_path / "baseline.json"
-    assert (
-        main(["lint", str(root), "--no-baseline", "--write-baseline", str(baseline)])
-        == 0
-    )
-    assert main(["lint", str(root), "--baseline", str(baseline), "--strict"]) == 0
+    assert main(["lint", str(root)]) == 0
+    assert main(["lint", str(root), "--strict"]) == 1
     capsys.readouterr()
 
 
@@ -643,13 +622,14 @@ def test_lint_json_matches_shared_schema(
             )
         },
     )
-    assert main(["lint", str(root), "--no-baseline", "--format", "json"]) == 1
+    assert main(["lint", str(root), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert validate_payload(payload) == []
     assert payload["schema"] == SCHEMA_ID
     assert payload["tool"] == "lint"
     assert payload["ok"] is False
-    assert any(e["code"] == "R001" for e in payload["diagnostics"])
+    assert any(e["code"] == "R043" for e in payload["diagnostics"])
+    assert "baselined" not in payload["counts"]
 
 
 def test_verify_json_matches_shared_schema(

@@ -5,19 +5,14 @@ Each rule gets a seeded firing fixture and a clean fixture; the
 archetypal cases from the issue — an unlocked shared counter reachable
 from handler threads (R060, witness chain asserted) and an int64
 product exceeding 2**63 over the declared spec bounds (R070) — are
-covered explicitly, plus the SARIF round-trip for both packs and the
-``--packs`` / ``--changed-files`` selection modes.
+covered explicitly, plus the SARIF round-trip for both packs.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import analyze_paths
-from repro.cli import main
 from repro.report.diagnostics import validate_sarif_payload
 from repro.report.sarif import FINGERPRINT_KEY, sarif_payload
 
@@ -52,7 +47,7 @@ def test_r060_fires_on_unlocked_counter_from_handler(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r060 = [f for f in report if f.code == "R060" and f.active]
     assert r060, "unlocked shared counter under handler threads must fire"
     (finding,) = [f for f in r060 if "self.hits" in f.message]
@@ -77,7 +72,7 @@ def test_r060_fires_on_pool_client_lambda_thunks(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r060 = [f for f in report if f.code == "R060" and f.active]
     assert any("results[job]" in f.message for f in r060)
 
@@ -101,7 +96,7 @@ def test_r060_clean_when_write_is_locked(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R060" not in active_codes(report)
 
 
@@ -121,7 +116,7 @@ def test_r060_ignores_process_isolated_roots(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R060" not in active_codes(report)
 
 
@@ -143,7 +138,7 @@ def test_r061_fires_on_release_outside_finally(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r061 = [f for f in report if f.code == "R061" and f.active]
     assert r061 and "finally" in r061[0].message
 
@@ -161,7 +156,7 @@ def test_r061_fires_on_missing_release(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r061 = [f for f in report if f.code == "R061" and f.active]
     assert r061 and "no" in r061[0].message and "release" in r061[0].message
 
@@ -185,7 +180,7 @@ def test_r061_clean_with_try_finally_and_with(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R061" not in active_codes(report)
 
 
@@ -213,7 +208,7 @@ def test_r062_fires_on_opposite_nesting(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r062 = [f for f in report if f.code == "R062" and f.active]
     assert r062 and "opposite order" in r062[0].message
 
@@ -240,7 +235,7 @@ def test_r062_fires_through_callee_acquisition(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R062" in active_codes(report)
 
 
@@ -263,7 +258,7 @@ def test_r062_clean_with_consistent_order(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R062" not in active_codes(report)
 
 
@@ -289,7 +284,7 @@ def test_r063_fires_on_pool_after_thread_start(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r063 = [f for f in report if f.code == "R063" and f.active]
     assert r063 and "fork" in r063[0].message
 
@@ -311,7 +306,7 @@ def test_r063_clean_when_pool_created_first(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R063" not in active_codes(report)
 
 
@@ -334,7 +329,7 @@ def test_r064_fires_on_second_append_write(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r064 = [f for f in report if f.code == "R064" and f.active]
     assert r064 and "atomic" in r064[0].message
 
@@ -353,7 +348,7 @@ def test_r064_clean_with_single_write(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R064" not in active_codes(report)
 
 
@@ -376,7 +371,7 @@ def test_r065_fires_on_sleep_under_lock(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r065 = [f for f in report if f.code == "R065" and f.active]
     assert r065 and r065[0].severity.value == "warning"
 
@@ -396,7 +391,7 @@ def test_r065_clean_when_blocking_outside_lock(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R065" not in active_codes(report)
 
 
@@ -419,7 +414,7 @@ def test_r066_fires_on_unjoined_nondaemon_thread(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r066 = [f for f in report if f.code == "R066" and f.active]
     assert r066 and "join" in r066[0].message
 
@@ -446,7 +441,7 @@ def test_r066_clean_when_joined_daemon_or_returned(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R066" not in active_codes(report)
 
 
@@ -470,7 +465,7 @@ def test_r070_fires_on_seeded_overflow(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r070 = [f for f in report if f.code == "R070" and f.active]
     assert r070, "out-of-bounds int64 product must fail the proof"
     assert "2**63" in r070[0].message
@@ -490,7 +485,7 @@ def test_r070_proves_bounded_closed_form_clean(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R070" not in active_codes(report)
 
 
@@ -498,9 +493,7 @@ def test_r070_repo_closed_forms_prove_clean() -> None:
     """The acceptance proof: the repository's NumPy int64 arithmetic
     carries no unprovable int64 intermediate over the declared bounds."""
     repo_root = Path(__file__).resolve().parent.parent
-    report = analyze_paths(
-        [repo_root / "src" / "repro"], root=repo_root, use_baseline=False
-    )
+    report = analyze_paths([repo_root / "src" / "repro"], root=repo_root)
     assert not [f for f in report if f.code == "R070" and f.active]
 
 
@@ -522,7 +515,7 @@ def test_r071_fires_on_promoted_batch_binding(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r071 = [f for f in report if f.code == "R071" and f.active]
     assert r071 and "half_elems" in r071[0].message
 
@@ -540,7 +533,7 @@ def test_r071_clean_for_float_named_binding(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R071" not in active_codes(report)
 
 
@@ -560,7 +553,7 @@ def test_r072_fires_on_integer_unit_binding_of_lossy_float(tmp_path: Path) -> No
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r072 = [f for f in report if f.code == "R072" and f.active]
     assert r072 and "2**53" in r072[0].message
     assert "total_bytes" in r072[0].message
@@ -576,7 +569,7 @@ def test_r072_fires_on_int_round_trip(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R072" in active_codes(report)
 
 
@@ -594,7 +587,7 @@ def test_r072_clean_for_ratio_reporting(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R072" not in active_codes(report)
 
 
@@ -616,7 +609,7 @@ def test_r073_fires_on_declared_int_float_mix(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r073 = [f for f in report if f.code == "R073" and f.active]
     assert r073 and "int" in r073[0].message and "float" in r073[0].message
 
@@ -635,7 +628,7 @@ def test_r073_clean_when_dtype_not_declared(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R073" not in active_codes(report)
 
 
@@ -654,7 +647,7 @@ def test_r074_fires_on_unguarded_zero_divisor(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r074 = [f for f in report if f.code == "R074" and f.active]
     assert r074 and "free_bytes" in r074[0].message
     assert "zero" in r074[0].message
@@ -674,7 +667,7 @@ def test_r074_clean_with_branch_or_max_guard(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R074" not in active_codes(report)
 
 
@@ -689,7 +682,7 @@ def test_r074_clean_for_positive_seeded_divisor(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R074" not in active_codes(report)
 
 
@@ -713,7 +706,7 @@ def test_noqa_suppresses_r060_and_r070(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert not active_codes(report) & {"R060", "R070"}
     assert {"R060", "R070"} <= {f.code for f in report.suppressed}
 
@@ -733,7 +726,7 @@ def test_sarif_round_trip_for_new_packs(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     payload = sarif_payload(report)
     assert validate_sarif_payload(payload) == []
     run = payload["runs"][0]
@@ -745,91 +738,3 @@ def test_sarif_round_trip_for_new_packs(tmp_path: Path) -> None:
             assert isinstance(fp, str) and fp
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert "R060" in rule_ids and "R070" in rule_ids
-
-
-# ----------------------------------------------------------------------
-# Pack selection and incremental mode
-# ----------------------------------------------------------------------
-
-_TWO_HAZARDS = {
-    "pkg/two.py": (
-        "import numpy as np\n"
-        "hits = {}\n"
-        "def handle_one(request):\n"
-        "    hits[request] = 1\n"
-        "def f(a_bytes, b_elems):\n"
-        "    return a_bytes + b_elems\n"
-    ),
-}
-
-
-def test_packs_selection_runs_only_named_packs(tmp_path: Path) -> None:
-    root = mini_project(tmp_path, dict(_TWO_HAZARDS))
-    full = analyze_paths([root], root=root, use_baseline=False)
-    assert {"R001", "R060"} <= active_codes(full)
-    only_units = analyze_paths(
-        [root], root=root, use_baseline=False, packs=["units"]
-    )
-    assert "R001" in active_codes(only_units)
-    assert "R060" not in active_codes(only_units)
-    only_conc = analyze_paths(
-        [root], root=root, use_baseline=False, packs=["concurrency"]
-    )
-    assert "R060" in active_codes(only_conc)
-    assert "R001" not in active_codes(only_conc)
-
-
-def test_packs_unknown_name_raises(tmp_path: Path) -> None:
-    root = mini_project(tmp_path, dict(_TWO_HAZARDS))
-    with pytest.raises(ValueError, match="unknown rule pack"):
-        analyze_paths([root], root=root, use_baseline=False, packs=["nope"])
-
-
-def test_packs_cli_flag_and_bad_name_exit_code(tmp_path: Path, capsys) -> None:
-    root = mini_project(tmp_path, dict(_TWO_HAZARDS))
-    assert main(["lint", str(root), "--packs", "registry"]) == 0
-    capsys.readouterr()
-    assert main(["lint", str(root), "--packs", "nope"]) == 2
-    assert "unknown rule pack" in capsys.readouterr().err
-
-
-def test_changed_files_limits_scope_and_skips_project_rules(
-    tmp_path: Path,
-) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/clean.py": "def ok():\n    return 1\n",
-            **_TWO_HAZARDS,
-        },
-    )
-    report = analyze_paths(
-        [root],
-        root=root,
-        use_baseline=False,
-        changed_files=[root / "pkg" / "two.py"],
-    )
-    assert report.files == 1
-    # File-scope units rule still fires on the changed file…
-    assert "R001" in active_codes(report)
-    # …but the whole-program packs are skipped (their call graph would
-    # be incomplete over a partial file set).
-    assert "R060" not in active_codes(report)
-
-
-def test_changed_files_cli_flag(tmp_path: Path, capsys) -> None:
-    root = mini_project(tmp_path, dict(_TWO_HAZARDS))
-    code = main(
-        [
-            "lint",
-            str(root),
-            "--changed-files",
-            str(root / "pkg" / "two.py"),
-            "--format",
-            "json",
-        ]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1  # R001 fires on the changed file
-    codes = {f["code"] for f in payload["diagnostics"]}
-    assert "R001" in codes and "R060" not in codes

@@ -4,16 +4,18 @@ Covers: the project-wide call graph (qualnames, import/re-export
 resolution, method dispatch, decorator transparency, reference edges),
 the unit lattice and its transfer functions, the unit-flow rules
 (R040–R044) and determinism-reachability rules (R050–R053) on seeded
-fixture packages, the SARIF 2.1.0 export, content-addressed baseline
+fixture packages, one rule per hazard (one finding per site, one checker
+per catalog code), the SARIF 2.1.0 export, content-addressed
 fingerprints, and the lint wall-time budget.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from repro.analysis import Finding, analyze_paths
+from repro.analysis import ALL_RULE_CODES, Finding, all_rules, analyze_paths
 from repro.analysis.callgraph import build_callgraph, module_name
 from repro.analysis.rules import Project, SourceFile
 from repro.analysis.unitflow import (
@@ -218,7 +220,7 @@ def test_r040_fires_on_cross_module_unit_mismatch(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R040" in active_codes(report)
     (finding,) = [f for f in report if f.code == "R040"]
     assert "tile_elems" in finding.message and "bytes" in finding.message
@@ -234,7 +236,7 @@ def test_r041_fires_on_return_boundary_mismatch(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R041" in active_codes(report)
 
 
@@ -249,11 +251,11 @@ def test_r042_fires_on_cross_unit_assignment(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R042" in active_codes(report)
 
 
-def test_r043_fires_only_where_suffixes_cannot_see(tmp_path: Path) -> None:
+def test_r043_fires_through_return_units(tmp_path: Path) -> None:
     root = mini_project(
         tmp_path,
         {
@@ -268,12 +270,9 @@ def test_r043_fires_only_where_suffixes_cannot_see(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
-    assert "R043" in active_codes(report)
-    # suffix-visible mixes stay R001's business
-    assert all(
-        f.code != "R043" or "footprint_bytes()" in f.message for f in report
-    )
+    report = analyze_paths([root], root=root)
+    (finding,) = [f for f in report.active if f.code == "R043"]
+    assert "footprint_bytes()" in finding.message
 
 
 def test_r044_fires_on_cast_misuse(tmp_path: Path) -> None:
@@ -295,7 +294,7 @@ def test_r044_fires_on_cast_misuse(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r044 = [f for f in report if f.code == "R044" and f.active]
     assert len(r044) == 2  # to_kib(elems) and kib(bytes) both flagged
     # the helpers themselves are sanctioned: no R041 on their bodies
@@ -317,7 +316,7 @@ def test_unitflow_clean_on_consistent_units(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert not active_codes(report) & {"R040", "R041", "R042", "R043", "R044"}
 
 
@@ -346,7 +345,7 @@ def test_r050_fires_on_rng_reachable_from_key_path(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r050 = [f for f in report if f.code == "R050" and f.active]
     assert r050, "reachable RNG must fire R050"
     assert any(
@@ -367,7 +366,7 @@ def test_r051_fires_on_reachable_env_read(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R051" in active_codes(report)
 
 
@@ -386,11 +385,61 @@ def test_r052_r053_fire_on_helpers_below_key_functions(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     codes = active_codes(report)
     assert "R052" in codes and "R053" in codes
-    # helpers are not digest-named, so the per-file rules stay silent
-    assert "R013" not in codes and "R014" not in codes
+
+
+# ----------------------------------------------------------------------
+# One rule per hazard
+# ----------------------------------------------------------------------
+
+
+def test_single_hazard_site_yields_one_finding(tmp_path: Path) -> None:
+    """A mixed-unit or unsorted-key site is reported once, by one rule."""
+    root = mini_project(
+        tmp_path,
+        {
+            "pkg/x.py": (
+                "import json\n"
+                "def fits(a_bytes, b_elems):\n"
+                "    if a_bytes:\n"
+                "        return a_bytes + b_elems\n"
+                "def cache_key(items, payload):\n"
+                "    for item in set(items):\n"
+                "        payload[item] = 1\n"
+                "    return json.dumps(payload)\n"
+            ),
+        },
+    )
+    report = analyze_paths([root], root=root)
+    assert sorted((f.line, f.code) for f in report.active) == [
+        (4, "R043"),
+        (6, "R052"),
+        (8, "R053"),
+    ]
+
+
+def test_every_catalog_code_has_one_checker_that_runs(
+    tmp_path: Path, monkeypatch
+) -> None:
+    """Each code but R000 (the parse itself) is bound to exactly one
+    checker, and a lint runs every one of them."""
+    registry = all_rules()
+    codes = [rule.code for rule in registry]
+    assert len(codes) == len(set(codes))
+    assert set(codes) == set(ALL_RULE_CODES) - {"R000"}
+    ran: list[str] = []
+    for code, bound in list(registry.rules.items()):
+
+        def spy(target, _check=bound.check, _code=code):
+            ran.append(_code)
+            return _check(target)
+
+        monkeypatch.setitem(registry.rules, code, replace(bound, check=spy))
+    root = mini_project(tmp_path, {"pkg/x.py": "def f():\n    return 1\n"})
+    analyze_paths([root], root=root)
+    assert sorted(set(ran)) == sorted(codes)
 
 
 def test_r050_noqa_at_source_line_suppresses(tmp_path: Path) -> None:
@@ -405,7 +454,7 @@ def test_r050_noqa_at_source_line_suppresses(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert not active_codes(report) & {"R010", "R050"}
     assert {"R010", "R050"} <= {f.code for f in report.suppressed}
 
@@ -425,7 +474,7 @@ def test_pool_workers_are_determinism_roots(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r050 = [f for f in report if f.code == "R050" and f.active]
     assert any("work" in f.message for f in r050)
 
@@ -443,7 +492,7 @@ def test_reachability_clean_when_hazard_not_reachable(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R050" not in active_codes(report)  # R010 still fires, R050 not
 
 
@@ -462,17 +511,17 @@ def test_sarif_payload_validates_and_carries_fingerprints(tmp_path: Path) -> Non
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     payload = sarif_payload(report)
     assert validate_sarif_payload(payload) == []
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    result = next(r for r in run["results"] if r["ruleId"] == "R001")
+    result = next(r for r in run["results"] if r["ruleId"] == "R043")
     fp = result["partialFingerprints"][FINGERPRINT_KEY]
-    (finding,) = [f for f in report if f.code == "R001"]
+    (finding,) = [f for f in report if f.code == "R043"]
     assert fp == finding.fingerprint()
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert "R001" in rule_ids
+    assert "R043" in rule_ids
 
 
 def test_sarif_marks_suppressed_findings(tmp_path: Path) -> None:
@@ -481,16 +530,18 @@ def test_sarif_marks_suppressed_findings(tmp_path: Path) -> None:
         {
             "pkg/x.py": (
                 "def f(a_bytes: int, b_elems: int) -> int:\n"
-                "    return a_bytes + b_elems  # repro: noqa[R001] -- ok\n"
+                "    return a_bytes + b_elems  # repro: noqa[R043] -- ok\n"
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     payload = sarif_payload(report)
     result = next(
-        r for r in payload["runs"][0]["results"] if r["ruleId"] == "R001"
+        r for r in payload["runs"][0]["results"] if r["ruleId"] == "R043"
     )
-    assert result["suppressions"][0]["kind"] == "inSource"
+    assert result["suppressions"] == [
+        {"kind": "inSource", "justification": "repro: noqa marker"}
+    ]
 
 
 def test_sarif_cli_output_validates(tmp_path: Path, capsys) -> None:
@@ -552,8 +603,8 @@ def test_findings_carry_source_snippets(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
-    (finding,) = [f for f in report if f.code == "R001"]
+    report = analyze_paths([root], root=root)
+    (finding,) = [f for f in report if f.code == "R043"]
     assert finding.snippet.strip() == "return a_bytes + b_elems"
     assert finding.normalized_snippet() == "return a_bytes + b_elems"
 
@@ -565,7 +616,7 @@ def test_findings_carry_source_snippets(tmp_path: Path) -> None:
 
 def test_report_measures_wall_time(tmp_path: Path) -> None:
     root = mini_project(tmp_path, {"pkg/x.py": "def f():\n    return 1\n"})
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert report.duration_seconds > 0.0
     assert "wall time" in report.render()
 
