@@ -269,7 +269,7 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "thread that touches the lock."
     ),
     "R062": (
-        "Functions must take the journal file lock (``flock``) and "
+        "Functions must take file locks (``flock``) and "
         "in-process ``threading.Lock`` instances in one global order — "
         "one path acquiring the flock inside an in-process lock while "
         "another nests them the other way around deadlocks under "

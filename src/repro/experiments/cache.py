@@ -37,16 +37,16 @@ Environment
     the engine's worker processes.
 ``REPRO_CACHE_MAX_MB``
     Size cap in MiB.  When set, every store checks the total on-disk
-    size and evicts least-recently-used entries past the cap through the
-    journal-backed index in :mod:`repro.serve.cache_index` (the entry
-    just written is never evicted by its own store).  Unset means
-    unbounded, the historical behavior.
+    size and evicts least-recently-used entries past the cap through
+    :meth:`repro.serve.cache_index.CacheIndex.prune` (the entry just
+    written is never evicted by its own store).  Unset means unbounded,
+    the historical behavior.
 
 Eviction / recency
 ------------------
-Recency is tracked by an append-only journal (one ``O_APPEND`` line per
-store or hit) that survives concurrent writers; see
-:mod:`repro.serve.cache_index` for the index design and its crash /
+Recency is each entry file's modification time: a store sets it, and a
+hit touches it with ``os.utime``, so hits write no bytes.  See
+:mod:`repro.serve.cache_index` for the entry layout and its crash /
 race semantics.  ``repro cache stats|clear|prune`` is the CLI surface.
 """
 
@@ -136,16 +136,6 @@ class CacheStats:
                 "evictions": self.evictions,
             }
 
-    def add(self, other: "CacheStats | dict[str, int]") -> None:
-        """Accumulate another counter set (e.g. a worker's snapshot)."""
-        if isinstance(other, CacheStats):
-            other = other.snapshot()
-        with self._lock:
-            self.hits += other.get("hits", 0)
-            self.misses += other.get("misses", 0)
-            self.stores += other.get("stores", 0)
-            self.evictions += other.get("evictions", 0)
-
 
 #: Process-wide counters; worker processes each get their own copy and the
 #: engine aggregates the snapshots they return.
@@ -184,7 +174,7 @@ def cache_max_bytes() -> int | None:
 
 
 def index() -> CacheIndex:
-    """The LRU journal index for the active cache directory."""
+    """The entry layout and LRU index of the active cache directory."""
     return CacheIndex(cache_dir())
 
 
@@ -278,10 +268,6 @@ def plan_cache_key(
 # ----------------------------------------------------------------------
 
 
-def _entry_path(key: str) -> Path:
-    return cache_dir() / key[:2] / f"{key}.pkl"
-
-
 def load(key: str) -> Any:
     """Return the cached value for ``key`` or ``_SENTINEL`` on a miss.
 
@@ -290,7 +276,7 @@ def load(key: str) -> Any:
     """
     if not cache_enabled():
         return _SENTINEL
-    path = _entry_path(key)
+    path = index().entry_path(key)
     try:
         with path.open("rb") as handle:
             return pickle.load(handle)
@@ -308,13 +294,15 @@ def store(key: str, value: Any) -> None:
     """Atomically persist ``value`` under ``key`` (no-op when disabled).
 
     The write lands via ``mkstemp`` + ``os.replace`` so readers only ever
-    see complete entries; the LRU journal records the store, and when
-    ``REPRO_CACHE_MAX_MB`` caps the cache, least-recently-used entries
-    beyond the cap are evicted (never the entry just written).
+    see complete entries, and the landed file's modification time makes
+    it the most recently used.  When ``REPRO_CACHE_MAX_MB`` caps the
+    cache, least-recently-used entries beyond the cap are evicted (never
+    the entry just written).
     """
     if not cache_enabled():
         return
-    path = _entry_path(key)
+    idx = index()
+    path = idx.entry_path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -329,14 +317,8 @@ def store(key: str, value: Any) -> None:
         except OSError:
             pass
         return
-    idx = index()
-    try:
-        size_bytes = path.stat().st_size
-    except OSError:
-        size_bytes = 0
-    idx.record(key, size_bytes)
     cap_bytes = cache_max_bytes()
-    if cap_bytes is not None and idx.total_bytes() > cap_bytes:
+    if cap_bytes is not None:
         _count_eviction(idx.prune(cap_bytes, keep=frozenset((key,))))
 
 
@@ -353,7 +335,8 @@ def _count_eviction(result: PruneResult) -> PruneResult:
 def lookup(key: str) -> tuple[bool, Any]:
     """Cache probe with counters: ``(hit, value)`` (value=None on miss).
 
-    A hit touches the LRU journal so recency survives across processes.
+    A hit touches the entry file's modification time so recency
+    survives across processes.
     This is the primitive :func:`fetch`,
     :meth:`repro.manager.MemoryManager.plan_cached` and the serve
     handlers share, so all of them agree on what counts as a hit.
@@ -362,7 +345,10 @@ def lookup(key: str) -> tuple[bool, Any]:
     if cached is not _SENTINEL:
         stats.count_hit()
         metrics_registry().counter("plan_cache_hits_count").add(1)
-        index().record(key, 0)  # size backfilled from disk at reconcile
+        try:
+            os.utime(index().entry_path(key))
+        except OSError:
+            pass  # lost a race with eviction, or a read-only cache dir
         return True, cached
     stats.count_miss()
     metrics_registry().counter("plan_cache_misses_count").add(1)
@@ -385,27 +371,23 @@ def prune(max_bytes: int) -> PruneResult:
 
 
 def clear() -> int:
-    """Delete every cache entry (and the LRU journal); returns the count."""
-    root = cache_dir()
+    """Delete every cache entry; returns the count removed."""
+    idx = index()
     removed = 0
-    if not root.is_dir():
-        return removed
-    for path in root.rglob("*.pkl"):
+    for key, _, _ in idx.entries():
         try:
-            path.unlink()
+            idx.entry_path(key).unlink()
             removed += 1
         except OSError:
             pass
-    index().clear()
     return removed
 
 
 def entry_count() -> int:
     """Number of entries currently on disk."""
-    root = cache_dir()
-    return sum(1 for _ in root.rglob("*.pkl")) if root.is_dir() else 0
+    return len(index().entries())
 
 
 def total_bytes() -> int:
     """Total size of all cache entries on disk."""
-    return index().total_bytes()
+    return sum(size for _, size, _ in index().entries())

@@ -12,12 +12,12 @@ layer.  The package splits into five modules:
   parameters to response payloads; they are determinism roots for the
   R05x reachability lint and the unit of work fanned out to the
   process pool.
-* :mod:`~repro.serve.cache_index` — the shared plan cache's LRU index:
-  an append-only journal that survives concurrent writers, plus size-cap
-  eviction.
+* :mod:`~repro.serve.cache_index` — the shared plan cache's entry
+  layout and size-cap LRU eviction; recency is each entry file's
+  modification time, which a hit touches.
 * :mod:`~repro.serve.server` — the ``repro serve`` HTTP daemon
   (stdlib ``ThreadingHTTPServer``) with graceful SIGINT/SIGTERM
-  drain-and-flush shutdown.
+  drain shutdown.
 * :mod:`~repro.serve.loadgen` — the deterministic load generator behind
   ``repro bench serve`` (seeded traffic mix, p50/p99 latency,
   throughput, cache hit-rate → ``BENCH_serve.json``).
@@ -30,7 +30,7 @@ import cycle through the server/handler layers.
 
 from __future__ import annotations
 
-from .cache_index import CacheIndex, IndexEntry, PruneResult
+from .cache_index import CacheIndex, PruneResult
 from .protocol import (
     ENDPOINTS,
     SERVE_SCHEMA_ID,
@@ -43,7 +43,6 @@ from .protocol import (
 __all__ = [
     "ENDPOINTS",
     "CacheIndex",
-    "IndexEntry",
     "ProtocolError",
     "PruneResult",
     "SERVE_SCHEMA_ID",
