@@ -11,9 +11,6 @@ does the full analysis.
 Every benchmark session additionally emits two perf-trajectory artifacts
 next to the repository root (CI uploads both):
 
-* ``BENCH_dram.json`` — wall-clock time to plan ResNet18 at a 1 MiB GLB on
-  a DRAM-backed spec plus the banked-DRAM simulated transfer cycles per
-  mapping policy;
 * ``BENCH_experiments.json`` — the experiment engine's smoke subset run
   cold and then warm through the persistent cache with ``--jobs 2``
   semantics, recording per-artifact wall time, cache hits/misses and the
@@ -61,35 +58,6 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` once under pytest-benchmark (sweeps are too heavy for
     statistical rounds; one round still yields a timing row)."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def _dram_benchmark_record() -> dict:
-    from repro.arch import AcceleratorSpec, mib
-    from repro.dram import DEFAULT_DDR4_SPEC, MAPPING_NAMES, simulate_plan_dram
-    from repro.manager import MemoryManager
-    from repro.nn.zoo import get_model
-
-    spec = AcceleratorSpec(glb_bytes=mib(1)).with_dram(DEFAULT_DDR4_SPEC)
-    model = get_model("ResNet18")
-    start = time.perf_counter()
-    plan = MemoryManager(spec).plan(model, interlayer=True)
-    plan_seconds = time.perf_counter() - start
-    mappings = {}
-    for name in MAPPING_NAMES:
-        stats = simulate_plan_dram(plan, mapping=name).total
-        mappings[name] = {
-            "cycles": stats.cycles,
-            "ideal_cycles": stats.ideal_cycles,
-            "row_hit_rate": stats.row_hit_rate,
-            "energy_pj": stats.energy_pj,
-        }
-    return {
-        "model": model.name,
-        "glb_bytes": spec.glb_bytes,
-        "plan_seconds": plan_seconds,
-        "plan_latency_cycles": plan.total_latency_cycles,
-        "dram": mappings,
-    }
 
 
 def _experiments_benchmark_record() -> dict:
@@ -208,9 +176,6 @@ def pytest_sessionfinish(session, exitstatus):
     if exitstatus != 0 or session.config.option.collectonly:
         return
     root = Path(__file__).resolve().parent.parent
-    (root / "BENCH_dram.json").write_text(
-        json.dumps(_dram_benchmark_record(), indent=2) + "\n"
-    )
     (root / "BENCH_experiments.json").write_text(
         json.dumps(_experiments_benchmark_record(), indent=2) + "\n"
     )

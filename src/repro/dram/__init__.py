@@ -17,7 +17,7 @@ backend's effective bandwidth, so all paper artifacts are unchanged.
 See ``docs/dram.md``.
 """
 
-from .backend import DramAccess, DramStats, combine_stats, simulate_accesses
+from .backend import DramAccess, DramStats, combine_stats
 from .mapping import (
     MAPPING_NAMES,
     MAPPING_POLICIES,
@@ -41,6 +41,7 @@ from .trace import (
     dram_effective_bandwidth,
     layer_regions,
     schedule_accesses,
+    simulate_accesses,
     simulate_schedule,
 )
 

@@ -1,9 +1,10 @@
 """Trace-driven banked-DRAM backend.
 
-The backend consumes a stream of :class:`DramAccess` requests (produced
-from a policy's streaming schedule by :mod:`repro.dram.trace`), resolves
-each through a mapping policy's :class:`~repro.dram.mapping.AddressLayout`
-and replays it against a row-buffer state machine:
+:func:`replay` consumes a stream of ``(region, offset, nbytes, write)``
+requests (lowered from a policy's streaming schedule, or from a list of
+:class:`DramAccess`, by :mod:`repro.dram.trace`), resolves each through a
+mapping policy's :class:`~repro.dram.mapping.AddressLayout` and replays
+it against a row-buffer state machine:
 
 * every access is split at row boundaries into *segments* (one
   (channel, bank, row) touch each);
@@ -25,6 +26,7 @@ re-checks for every DRAM-backed plan.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..obs import get_tracer, metrics_registry
@@ -112,27 +114,27 @@ def combine_stats(parts: list[DramStats]) -> DramStats:
     return total
 
 
-class _BankState:
-    """Open row and readiness time of one DRAM bank."""
-
-    __slots__ = ("open_row", "free_at")
-
-    def __init__(self) -> None:
-        self.open_row: int | None = None
-        self.free_at = 0.0
+#: One request of the off-chip stream: (region index, byte offset within
+#: the region, length in bytes, write).
+Request = tuple[int, int, int, bool]
 
 
-def simulate_accesses(
-    accesses: list[DramAccess] | tuple[DramAccess, ...],
+def replay(
+    requests: Iterable[Request],
     regions: tuple[Region, ...],
     spec: DramSpec,
     mapping: MappingPolicy,
 ) -> DramStats:
-    """Replay an access stream through the row-buffer state machine."""
-    with get_tracer().start(
-        "dram_stream", mapping=mapping.name, requests_count=len(accesses)
-    ) as span:
-        stats = _simulate_accesses(accesses, regions, spec, mapping)
+    """Replay a request stream; one ``dram_stream`` span per call.
+
+    The backend's only row-buffer state machine:
+    :func:`~repro.dram.trace.simulate_schedule` and
+    :func:`~repro.dram.trace.simulate_accesses` both end here.  The
+    stream's statistics are added to the ``dram_*`` counters.
+    """
+    with get_tracer().start("dram_stream", mapping=mapping.name) as span:
+        stats, count = _replay(requests, regions, spec, mapping)
+        span.set_attr("requests_count", count)
         span.set_attr("row_hits_count", stats.row_hits)
         span.set_attr("row_misses_count", stats.row_misses)
         span.set_attr("total_bytes", stats.total_bytes)
@@ -145,59 +147,104 @@ def simulate_accesses(
     return stats
 
 
-def _simulate_accesses(
-    accesses: list[DramAccess] | tuple[DramAccess, ...],
+class _BlockTable(dict[int, tuple[int, int, int]]):
+    """One region's row blocks: block number → ``(channel, slot, row)``.
+
+    ``slot`` is the flat bank index ``channel * banks_per_channel + bank``.
+    A block is resolved through ``layout.locate`` the first time the
+    replay touches it, at the block's first byte.
+    """
+
+    def __init__(self, layout: AddressLayout, region: int, spec: DramSpec) -> None:
+        super().__init__()
+        self._layout = layout
+        self._region = region
+        self._row_bytes = spec.row_bytes
+        self._banks_per_channel = spec.banks_per_channel
+
+    def locate(self, offset: int) -> tuple[int, int, int]:
+        """Coordinates of the byte at ``offset``, with the flat bank slot."""
+        channel, bank, row = self._layout.locate(self._region, offset)
+        return channel, channel * self._banks_per_channel + bank, row
+
+    def __missing__(self, block: int) -> tuple[int, int, int]:
+        located = self[block] = self.locate(block * self._row_bytes)
+        return located
+
+
+def _replay(
+    requests: Iterable[Request],
     regions: tuple[Region, ...],
     spec: DramSpec,
     mapping: MappingPolicy,
-) -> DramStats:
-    layout: AddressLayout = mapping.layout(spec, regions)
+) -> tuple[DramStats, int]:
+    """The state machine; returns the stats and the number of requests.
+
+    Banks are flat list slots ``channel * banks_per_channel + bank``.  A
+    bank's ``free_at`` is the end of its last transfer, which was then
+    also its channel's bus time; the bus only moves forward, so a row hit
+    always starts when the bus frees up.  Rows resolve through one
+    :class:`_BlockTable` per region.
+    """
+    layout = mapping.layout(spec, regions)
     row_bytes = spec.row_bytes
     burst_bytes = spec.burst_bytes
     bus_rate = spec.channel_bytes_per_cycle
+    open_penalty = spec.row_open_penalty
+    miss_penalty = spec.row_miss_penalty
 
     bus = [0.0] * spec.channels
-    banks: dict[tuple[int, int], _BankState] = {}
+    open_row = [-1] * spec.total_banks  # -1: no row opened yet
+    free_at = [0.0] * spec.total_banks
+    tables = [_BlockTable(layout, index, spec) for index in range(len(regions))]
+    # A region whose base is not row-aligned has address row blocks that
+    # do not line up with offset blocks: resolve its mid-row starts exactly.
+    misaligned = [region.base % row_bytes != 0 for region in regions]
 
-    reads = writes = bursts = hits = misses = 0
-
-    for access in accesses:
-        offset = access.offset
-        remaining = access.nbytes
-        if access.write:
-            writes += access.nbytes
+    count = reads = writes = bursts = misses = 0
+    for region, offset, nbytes, write in requests:
+        count += 1
+        if write:
+            writes += nbytes
         else:
-            reads += access.nbytes
-        while remaining > 0:
-            seg_bytes = min(remaining, row_bytes - offset % row_bytes)
-            channel, bank_idx, row = layout.locate(access.region, offset)
-            bank = banks.setdefault((channel, bank_idx), _BankState())
-            seg_bursts = -(-seg_bytes // burst_bytes)
-            bursts += seg_bursts
-            if bank.open_row == row:
-                hits += seg_bursts
-                start = max(bus[channel], bank.free_at)
+            reads += nbytes
+        table = tables[region]
+        block = offset // row_bytes
+        seg = row_bytes - (offset - block * row_bytes)
+        if seg != row_bytes and misaligned[region]:
+            channel, slot, row = table.locate(offset)
+        else:
+            channel, slot, row = table[block]
+        while True:
+            if seg > nbytes:
+                seg = nbytes
+            bursts += -(-seg // burst_bytes)
+            if open_row[slot] == row:
+                end = bus[channel] + seg / bus_rate
             else:
                 misses += 1
-                hits += seg_bursts - 1
-                penalty = spec.row_open_penalty if bank.open_row is None else (
-                    spec.row_miss_penalty
+                ready = free_at[slot] + (
+                    open_penalty if open_row[slot] < 0 else miss_penalty
                 )
-                bank.open_row = row
-                start = max(bus[channel], bank.free_at + penalty)
-            end = start + seg_bytes / bus_rate
+                open_row[slot] = row
+                start = bus[channel]
+                end = (start if start >= ready else ready) + seg / bus_rate
             bus[channel] = end
-            bank.free_at = end
-            offset += seg_bytes
-            remaining -= seg_bytes
+            free_at[slot] = end
+            nbytes -= seg
+            if nbytes <= 0:
+                break
+            block += 1
+            seg = row_bytes
+            channel, slot, row = table[block]
 
     total_bytes = reads + writes
     cycles = max(bus) if total_bytes else 0.0
-    return DramStats(
+    stats = DramStats(
         reads_bytes=reads,
         writes_bytes=writes,
         bursts=bursts,
-        row_hits=hits,
+        row_hits=bursts - misses,
         row_misses=misses,
         activations=misses,
         cycles=cycles,
@@ -206,3 +253,4 @@ def _simulate_accesses(
         read_energy_pj=reads * spec.read_pj_per_byte,
         write_energy_pj=writes * spec.write_pj_per_byte,
     )
+    return stats, count

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from ..arch.spec import AcceleratorSpec
-from ..dram.trace import clear_bandwidth_memo
+from ..dram.trace import clear_stream_memo
 from ..nn.layer import LayerSpec
 from ..policies.base import CandidatePlan, Policy
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
@@ -167,11 +167,11 @@ def _evaluate_layer_memo(
 def clear_evaluation_memo() -> None:
     """Drop the in-process evaluation memos (cold-start benches).
 
-    Clears the per-layer evaluation grid and the DRAM effective-bandwidth
-    memo, which would otherwise answer a DRAM-backed re-plan from memory.
+    Clears the per-layer evaluation grid and the DRAM stream memo, which
+    would otherwise answer a DRAM-backed re-plan from memory.
     """
     _evaluate_layer_memo.cache_clear()
-    clear_bandwidth_memo()
+    clear_stream_memo()
 
 
 def _evaluate_layer_uncached(

@@ -372,18 +372,144 @@ class TestWiring:
         _, banked = plans
         assert verify_plan(banked).ok
 
-    def test_clearing_caches_drops_the_bandwidth_memo(self, layer):
-        """A "cold" DRAM-backed re-plan must not hit memoized bandwidths."""
-        from repro.dram.trace import _effective_bandwidth
+    def test_clearing_caches_drops_the_stream_memo(self, layer):
+        """A "cold" DRAM-backed re-plan must not hit memoized streams."""
+        from repro.dram import trace
         from repro.estimators import evaluate_layer
         from repro.experiments.common import clear_in_process_caches
 
         # A GLB size no other test plans at, so the evaluation is fresh.
         banked = AcceleratorSpec(glb_bytes=kib(200)).with_dram(DEFAULT_DDR4_SPEC)
         assert evaluate_layer(layer, banked)
-        assert _effective_bandwidth.cache_info().currsize > 0
+        assert trace._stream_memo
         clear_in_process_caches()
-        assert _effective_bandwidth.cache_info().currsize == 0
+        assert not trace._stream_memo
+
+
+# ----------------------------------------------------------------------
+# Stream memo
+# ----------------------------------------------------------------------
+
+
+def _replays(fn):
+    """Number of ``dram_stream`` spans (backend replays) ``fn()`` records."""
+    from repro.obs import Tracer, get_tracer, set_tracer
+
+    previous = set_tracer(Tracer())
+    try:
+        fn()
+        spans = get_tracer().drain()
+    finally:
+        set_tracer(previous)
+    return sum(1 for span in spans if span.name == "dram_stream")
+
+
+class TestStreamMemo:
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        from repro.estimators.evaluate import clear_evaluation_memo
+
+        clear_evaluation_memo()
+        yield
+        clear_evaluation_memo()
+
+    def test_same_shape_layers_cost_one_replay(self, schedule, layer):
+        from dataclasses import replace
+
+        twin = replace(layer, name=layer.name + "_twin")
+        assert twin != layer
+
+        def price_both():
+            for each in (layer, twin):
+                simulate_schedule(schedule, each, 1, DEFAULT_DDR4_SPEC)
+                dram_effective_bandwidth(schedule, each, DEFAULT_DDR4_SPEC, 1, 16.0)
+
+        assert _replays(price_both) == 1
+        assert simulate_schedule(schedule, twin, 1, DEFAULT_DDR4_SPEC) == (
+            simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC)
+        )
+
+    def test_mapping_and_device_are_part_of_the_stream(self, schedule, layer):
+        def price_variants():
+            for mapping in MAPPING_NAMES:
+                simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC, mapping)
+            simulate_schedule(schedule, layer, 2, DEFAULT_DDR4_SPEC)
+            simulate_schedule(schedule, layer, 1, DramSpec(channels=1))
+
+        assert _replays(price_variants) == len(MAPPING_NAMES) + 2
+
+    def test_clear_evaluation_memo_empties_the_memo(self, schedule, layer):
+        from repro.dram import trace
+        from repro.estimators.evaluate import clear_evaluation_memo
+
+        simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC)
+        assert len(trace._stream_memo) == 1
+        clear_evaluation_memo()
+        assert not trace._stream_memo
+        assert _replays(
+            lambda: simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC)
+        ) == 1
+
+    def test_memo_drops_the_least_recently_used_stream(
+        self, schedule, layer, monkeypatch
+    ):
+        from repro.dram import trace
+
+        monkeypatch.setattr(trace, "STREAM_MEMO_SIZE", 2)
+        first, second, third = MAPPING_NAMES
+        for mapping in (first, second):
+            simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC, mapping)
+        simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC, first)  # refresh
+        simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC, third)
+        assert len(trace._stream_memo) == 2
+        assert _replays(
+            lambda: simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC, first)
+        ) == 0
+        assert _replays(
+            lambda: simulate_schedule(schedule, layer, 1, DEFAULT_DDR4_SPEC, second)
+        ) == 1
+
+    def test_threads_share_the_memo_safely(self, layer, monkeypatch):
+        """Concurrent lookups, inserts and evictions lose no stream."""
+        import sys
+        import threading
+
+        from repro.dram import trace
+
+        schedules = [
+            candidate.schedule
+            for policy in NAMED_POLICIES
+            for glb in (kib(64), kib(256))
+            if (candidate := policy.plan(layer, glb, False)) is not None
+        ]
+        streams = [(s, m) for s in schedules for m in MAPPING_NAMES]
+        want = [simulate_schedule(s, layer, 1, DEFAULT_DDR4_SPEC, m) for s, m in streams]
+        trace.clear_stream_memo()
+        monkeypatch.setattr(trace, "STREAM_MEMO_SIZE", 3)  # evict constantly
+        errors: list[BaseException] = []
+
+        def worker(offset: int) -> None:
+            try:
+                for i in range(4 * len(streams)):
+                    s, m = streams[(i + offset) % len(streams)]
+                    got = simulate_schedule(s, layer, 1, DEFAULT_DDR4_SPEC, m)
+                    assert got == want[(i + offset) % len(streams)]
+            except BaseException as exc:  # re-raised below, in the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(trace._stream_memo) <= 3
 
 
 class TestSweepExperiment:
